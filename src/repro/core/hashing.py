@@ -23,17 +23,27 @@ digest cache (:func:`as_digest`) additionally reuses digests across
 operations on the same key, which is the common case for fingerprint indexes
 (a lookup is usually followed by an insert of the same fingerprint).
 
+When many digests are known up front — a shard worker holding a whole
+sub-batch, or the cluster routing a batch — :func:`prime_digests` fills their
+missing memos in one *packed* pass (:func:`fnv1a_64_packed`): every
+``(key, seed)`` pair of one key length becomes a 128-bit lane of a single
+Python int, so each FNV step costs a few big-int operations for the whole
+group instead of one interpreted loop iteration per lane.  The result is
+bit-identical to :func:`fnv1a_64`, which stays the reference and the path
+for groups smaller than :data:`PACKED_MIN_LANES`, where the packed pass's
+fixed cost does not pay off.
+
 For measurement, :func:`count_hash_calls` records every full-key FNV pass by
 seed (and every digest construction) so tests and ``benchmarks/
 bench_hotpath.py`` can assert that each layer hashes a key at most once per
-operation.
+operation; a packed pass counts once per lane.
 """
 
 from __future__ import annotations
 
 import struct
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 _FNV64_OFFSET = 0xCBF29CE484222325
 _FNV64_PRIME = 0x100000001B3
@@ -117,7 +127,8 @@ def to_key_bytes(key: "KeyLike") -> bytes:
 
 # -- Hash-call accounting -----------------------------------------------------------
 
-#: When True, :func:`fnv1a_64` records each full-key pass into the active log.
+#: When True, :func:`fnv1a_64` and :func:`fnv1a_64_packed` record each
+#: full-key pass (one per lane) into the active log.
 _counting = False
 _active_log: "HashCallLog" = None  # type: ignore[assignment]
 
@@ -172,8 +183,9 @@ def count_hash_calls() -> Iterator[HashCallLog]:
 def fnv1a_64(data: bytes, seed: int = 0) -> int:
     """64-bit FNV-1a hash of ``data``, mixed with ``seed`` and finalised.
 
-    This is the only function that traverses the full key bytes; everything
-    else derives from its output.
+    This and its lane-parallel twin :func:`fnv1a_64_packed` are the only
+    functions that traverse the full key bytes; everything else derives from
+    their output.
 
     The finalising mix (MurmurHash3 fmix64, inlined below — one call frame
     per pass matters when keys are hashed millions of times) spreads entropy
@@ -201,6 +213,71 @@ def fnv1a_64(data: bytes, seed: int = 0) -> int:
     return value ^ (value >> 33)
 
 
+#: Lanes a length group needs before :func:`prime_digests` hashes it packed.
+#: The packed pass pays a fixed cost per key byte (a handful of big-int
+#: operations, whatever the lane count).  On 20-byte fingerprints under
+#: CPython 3.11 it breaks even with the per-lane loop of :func:`fnv1a_64` at
+#: about 8 lanes and costs a third as much per lane at 150-300 lanes.
+PACKED_MIN_LANES = 8
+
+#: One 128-bit lane whose low 64 bits are set (the per-lane 64-bit mask) ...
+_LANE_MASK = b"\xff" * 8 + bytes(8)
+#: ... and one whose low byte is set (picks one key byte out of each lane).
+_LANE_LOW_BYTE = b"\xff" + bytes(15)
+
+
+def fnv1a_64_packed(datas: Sequence[bytes], seeds: Sequence[int]) -> List[int]:
+    """``[fnv1a_64(datas[i], seeds[i]) for i ...]`` in one lane-parallel pass.
+
+    Every ``datas[i]`` must have the same length.  Lane ``i`` occupies bits
+    ``128*i .. 128*i+127`` of one Python int: a 64-bit FNV state times the
+    41-bit FNV prime stays below 2**105, so no product carries into the next
+    lane, and masking back to 64 bits per lane after each step gives exactly
+    the scalar recurrence.  Key bytes are loaded 16 columns at a time (the
+    j-th byte of every key sits in the low byte of its lane after a shift),
+    and fmix64 runs lane-wise with each ``>> 33`` masked so no lane's bits
+    leak into its neighbour.
+    """
+    lanes = len(datas)
+    if lanes != len(seeds):
+        raise ValueError("datas and seeds must have the same length")
+    if not lanes:
+        return []
+    if len(set(map(len, datas))) != 1:
+        raise ValueError("packed hashing needs keys of equal length")
+    width = len(datas[0])
+    if _counting:
+        counts = _active_log.by_seed
+        for seed in seeds:
+            counts[seed] = counts.get(seed, 0) + 1
+    from_bytes = int.from_bytes
+    prime = _FNV64_PRIME
+    mask = from_bytes(_LANE_MASK * lanes, "little")
+    starts = {
+        seed: ((_FNV64_OFFSET ^ (seed * _GOLDEN64)) & _MASK64).to_bytes(16, "little")
+        for seed in set(seeds)
+    }
+    value = from_bytes(b"".join(map(starts.__getitem__, seeds)), "little")
+    if width:
+        blob = b"".join(datas)
+        low_byte = from_bytes(_LANE_LOW_BYTE * lanes, "little")
+        for base in range(0, width, 16):
+            columns = min(16, width - base)
+            block = bytearray(16 * lanes)
+            for column in range(columns):
+                block[column::16] = blob[base + column :: width]
+            chunk = from_bytes(block, "little")
+            for _ in range(columns):
+                value = ((value ^ (chunk & low_byte)) * prime) & mask
+                chunk >>= 8
+    value ^= (value >> 33) & mask
+    value = (value * 0xFF51AFD7ED558CCD) & mask
+    value ^= (value >> 33) & mask
+    value = (value * 0xC4CEB9FE1A85EC53) & mask
+    value ^= (value >> 33) & mask
+    return list(struct.unpack(f"<{2 * lanes}Q", value.to_bytes(16 * lanes, "little"))[::2])
+
+
 class KeyDigest:
     """Hash-once handle for one key: canonical bytes plus memoised digests.
 
@@ -212,6 +289,13 @@ class KeyDigest:
     a lookup that consults the partition map, the cuckoo buffer, several
     incarnations' Bloom filters and the incarnation page hashes the key bytes
     at most once per seed — instead of once per layer *use*.
+
+    Memos can also be filled ahead of use for many digests at once by
+    :func:`prime_digests` (one packed FNV pass per key-length group of at
+    least :data:`PACKED_MIN_LANES` lanes); :meth:`digest` then answers from
+    the memo as if it had computed the value itself.  Memos never leave the
+    process: the shard wire protocol ships key bytes only, and a worker
+    rebuilds its digests from them.
 
     Every derived value is bit-identical to calling :func:`hash_key` /
     :func:`double_hashes` on the raw key with the same arguments; the class
@@ -246,48 +330,41 @@ class KeyDigest:
             self._positions[key] = positions
         return positions
 
-    def to_wire(self) -> bytes:
-        """Serialise for the shard wire protocol (:mod:`repro.service.wire`).
-
-        Carries the canonical key bytes plus every seeded digest memoised so
-        far, so a worker process that receives the key resumes with the hash
-        work the client side already paid for.  Derived Bloom positions are
-        geometry-dependent and cheap to re-derive from the digests, so they
-        do not travel.  The format is little-endian: a 4-byte key length, the
-        key bytes, a 1-byte memo count, then ``(seed, digest)`` pairs of 8
-        bytes each, in ascending seed order (deterministic framing).
-        """
-        seeded = self._seeded
-        if len(seeded) > 255:  # pragma: no cover - ~10 seeds exist in the codebase
-            seeded = dict(sorted(seeded.items())[:255])
-        parts = [struct.pack("<IB", len(self.data), len(seeded)), self.data]
-        for seed, value in sorted(seeded.items()):
-            parts.append(struct.pack("<QQ", seed, value))
-        return b"".join(parts)
-
-    @classmethod
-    def from_wire(cls, payload: bytes, offset: int = 0) -> Tuple["KeyDigest", int]:
-        """Inverse of :meth:`to_wire`; returns the digest and the next offset.
-
-        The memoised seeds are restored verbatim.  Digests are value-pure
-        (a seeded digest depends only on the key bytes), so a restored memo
-        can never change behaviour — only skip recomputation on the worker.
-        """
-        key_len, seed_count = struct.unpack_from("<IB", payload, offset)
-        offset += 5
-        digest = cls(bytes(payload[offset : offset + key_len]))
-        offset += key_len
-        for _ in range(seed_count):
-            seed, value = struct.unpack_from("<QQ", payload, offset)
-            digest._seeded[seed] = value
-            offset += 16
-        return digest, offset
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KeyDigest({self.data!r}, seeds={sorted(self._seeded)})"
 
 
 KeyLike = Union[bytes, bytearray, memoryview, str, int, KeyDigest]
+
+
+def prime_digests(digests: Iterable[KeyDigest], seeds: Sequence[int]) -> None:
+    """Fill each digest's missing memos for ``seeds``, a group at a time.
+
+    Memoised seeds are skipped, and the missing ``(digest, seed)`` lanes are
+    grouped by key length.  A group of at least :data:`PACKED_MIN_LANES`
+    lanes is hashed by one :func:`fnv1a_64_packed` pass; a smaller group lane
+    by lane with :func:`fnv1a_64`.  Either way the memos hold exactly what
+    :meth:`KeyDigest.digest` would have computed, and hash-call accounting
+    records one pass per lane.
+    """
+    seeds = tuple(seeds)
+    groups: Dict[int, Tuple[List[KeyDigest], List[int]]] = {}
+    for digest in digests:
+        missing = [seed for seed in seeds if seed not in digest._seeded]
+        if missing:
+            group = groups.get(len(digest.data))
+            if group is None:
+                group = groups[len(digest.data)] = ([], [])
+            group[0].extend([digest] * len(missing))
+            group[1].extend(missing)
+    for lane_digests, lane_seeds in groups.values():
+        datas = [digest.data for digest in lane_digests]
+        if len(datas) >= PACKED_MIN_LANES:
+            values = fnv1a_64_packed(datas, lane_seeds)
+        else:
+            values = [fnv1a_64(data, seed) for data, seed in zip(datas, lane_seeds)]
+        for digest, seed, value in zip(lane_digests, lane_seeds, values):
+            digest._seeded[seed] = value
 
 
 # -- Cross-operation digest cache ---------------------------------------------------

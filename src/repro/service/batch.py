@@ -48,7 +48,7 @@ from repro.core.errors import (
     DeviceFailedError,
     ShardUnavailableError,
 )
-from repro.core.hashing import KeyLike, canonical_key
+from repro.core.hashing import RING_SEED, KeyLike, canonical_key, prime_digests
 from repro.service.router import ShardRouter
 from repro.telemetry import trace as _trace
 from repro.workloads.runner import apply_operation
@@ -155,9 +155,11 @@ class BatchExecutor:
     hash_once:
         When True (default) each operation's key is canonicalised into one
         :class:`~repro.core.hashing.KeyDigest` that serves both the routing
-        hash and the shard-side operation, so a batched key's bytes are
-        hashed at most once end to end.  Disable to reproduce the original
-        route-then-rehash behaviour (measurement ablation).
+        hash and, for an in-process shard, the shard-side operation, so a
+        batched key's bytes are hashed at most once per seed.  (A worker
+        process gets key bytes only and hashes its sub-batch itself.)
+        Disable to reproduce the original route-then-rehash behaviour
+        (measurement ablation).
     replication_factor:
         Copies of every write, placed on the key's preference list.
     is_live / on_shard_error / on_missed_write:
@@ -251,13 +253,16 @@ class BatchExecutor:
 
         # Route the whole batch up front, preserving submission order within
         # each shard (same key -> same replica set, so per-key order is
-        # preserved).  The key digest computed for routing rides along with
-        # the operation so the shard reuses it instead of re-hashing.
+        # preserved).  The ring digests the batch still lacks are filled in
+        # one packed pass, and each key digest rides along with its
+        # operation so an in-process shard reuses it instead of re-hashing.
         hash_once = self.hash_once
+        keys = [canonical_key(operation.key, hash_once) for operation in submitted]
+        if hash_once:
+            prime_digests(keys, (RING_SEED,))
         try:
             groups: Dict[str, List[_Slot]] = {}
-            for index, operation in enumerate(submitted):
-                key = canonical_key(operation.key, hash_once)
+            for index, (operation, key) in enumerate(zip(submitted, keys)):
                 for role, shard_id in enumerate(self._targets(key, operation.kind, set())):
                     groups.setdefault(shard_id, []).append(
                         _Slot(index=index, operation=operation, key=key, primary=role == 0)

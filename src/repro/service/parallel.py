@@ -24,6 +24,12 @@ Operation results, per-shard counters and simulated clocks are therefore
 enforces the contract and ``benchmarks/bench_parallel_cluster.py`` ratchets
 it in CI.
 
+Hash-once stops at the process boundary: the parent hashes each key's ring
+position to route it, but only canonical key bytes cross the socket.  A
+worker hashes its sub-batch itself, once per distinct key and seed, in one
+packed pass (:func:`_handle_batch`).  Digests are value-pure, so where a
+key is hashed never changes a result.
+
 Failure model
 -------------
 A worker that dies (killed, OOM, crashed interpreter) surfaces as
@@ -63,6 +69,16 @@ from repro.core.errors import (
     WorkerDiedError,
     WorkerStalledError,
 )
+from repro.core.hashing import (
+    BLOOM_SEED_H1,
+    BLOOM_SEED_H2,
+    CUCKOO_SEED_FIRST,
+    CUCKOO_SEED_SECOND,
+    PARTITION_SEED,
+    KeyDigest,
+    key_data,
+    prime_digests,
+)
 from repro.core.recovery import CrashRecoveryReport, DurableCLAM
 from repro.flashsim.clock import SimulationClock
 from repro.service import wire
@@ -71,8 +87,8 @@ from repro.service.chaos import ChaosSchedule, ChaosTransport, derive_seed
 from repro.service.cluster import ClusterService
 from repro.telemetry import trace as _trace
 from repro.telemetry.registry import MetricsRegistry
-from repro.workloads.runner import apply_operation
-from repro.workloads.workload import Operation, OpKind
+from repro.workloads.runner import apply_op
+from repro.workloads.workload import OpKind
 
 __all__ = [
     "DEFAULT_REQUEST_DEADLINE_MS",
@@ -170,20 +186,43 @@ def _apply_fault(clam: CLAM, mode: str, fault_kwargs: Dict[str, object]) -> None
             raise ConfigurationError(f"unknown fault mode {mode!r}")
 
 
+#: The seeds every CLAM operation of a worker sub-batch is primed with: the
+#: super-table partition, both cuckoo buckets and both Bloom base hashes.
+#: The incarnation page seed is left lazy; only a lookup that reaches flash
+#: (about one in ten on the benchmark's Zipf workload) needs it.
+_PRIMED_SEEDS = (
+    PARTITION_SEED,
+    CUCKOO_SEED_FIRST,
+    CUCKOO_SEED_SECOND,
+    BLOOM_SEED_H1,
+    BLOOM_SEED_H2,
+)
+
+
 def _handle_batch(clam: CLAM, hash_once: bool, payload: bytes) -> bytes:
-    """Execute one batch frame against the worker's CLAM."""
-    advance_ms, operations = wire.decode_batch_request(payload)
+    """Execute one batch frame against the worker's CLAM.
+
+    In hash-once mode the sub-batch is hashed up front: one
+    :class:`KeyDigest` per distinct key, its :data:`_PRIMED_SEEDS` filled by
+    one packed pass (:func:`~repro.core.hashing.prime_digests`).  The
+    digests live for this frame only.
+    """
+    advance_ms, kinds, keys, values = wire.decode_batch_request(payload)
     if advance_ms:
         clam.clock.advance(advance_ms)
+    if hash_once:
+        digests = {key: KeyDigest(key) for key in dict.fromkeys(keys)}
+        prime_digests(digests.values(), _PRIMED_SEEDS)
+        op_keys = [digests[key] for key in keys]
+    else:
+        op_keys = keys
     started_ms = clam.clock.now_ms
     results: List[object] = []
     error_code = wire.ERR_NONE
     message = ""
-    for kind, digest, value in operations:
-        key = digest if hash_once else digest.data
-        operation = Operation(kind, digest.data, value)
+    for kind, key, value in zip(kinds, op_keys, values):
         try:
-            results.append(apply_operation(clam, operation, key=key))
+            results.append(apply_op(clam, kind, key, value))
         except DeviceFailedError as error:
             error_code = wire.ERR_DEVICE_FAILED
             message = f"{type(error).__name__}: {error}"
@@ -434,6 +473,7 @@ class RemoteShard:
         self._closed = False
         self._seq = 0
         self._inflight: Optional[Tuple[int, int, bytes]] = None
+        self._inflight_keys: List[bytes] = []
         self._spawn()
 
     def _spawn(self) -> None:
@@ -645,6 +685,8 @@ class RemoteShard:
         payload = wire.encode_batch_request(advance_ms, operations)
         seq = self._next_seq()
         self._inflight = (seq, wire.FRAME_BATCH_REQUEST, payload)
+        # The response does not echo keys; its records get them from here.
+        self._inflight_keys = [key_data(key) for _, key, _ in operations]
         self._send(wire.FRAME_BATCH_REQUEST, payload, seq)
 
     def recv_batch(
@@ -683,7 +725,9 @@ class RemoteShard:
         else:
             response = self._await_response(seq, frame_type, payload, wire.FRAME_BATCH_RESPONSE)
         self._inflight = None
-        results, error_code, message, clock_ms, busy_ms = wire.decode_batch_response(response)
+        results, error_code, message, clock_ms, busy_ms = wire.decode_batch_response(
+            response, self._inflight_keys
+        )
         self.clock.sync(clock_ms)
         return results, error_code, message, busy_ms
 

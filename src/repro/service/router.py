@@ -76,6 +76,7 @@ class ShardRouter:
         self.virtual_nodes = virtual_nodes
         self._owners: Dict[int, str] = {}
         self._points: List[int] = []
+        self._chains: List[Tuple[str, ...]] = []
         self._shards: List[str] = []
         initial = list(shard_ids)
         if not initial:
@@ -100,7 +101,25 @@ class ShardRouter:
                 self._owners[point] = shard_id
 
     def _rebuild_index(self) -> None:
+        """Sort the ring points and precompute every point's preference chain.
+
+        ``_chains[i]`` lists every shard in the order a walk clockwise from
+        point ``i`` first meets it, so :meth:`preference_at` is one bisect
+        and one index.  The last point's chain comes from one such walk;
+        every earlier point's chain is its owner followed by the next
+        point's chain without that owner.  One extra entry, a copy of the
+        first chain, serves positions past the last point, which wrap around
+        to point 0.
+        """
         self._points = sorted(self._owners)
+        owners = [self._owners[point] for point in self._points]
+        chain = tuple(dict.fromkeys(owners[-1:] + owners[:-1]))
+        chains = [chain] * len(owners)
+        for index in range(len(owners) - 2, -1, -1):
+            if owners[index] != chain[0]:
+                chain = tuple(dict.fromkeys((owners[index],) + chain))
+            chains[index] = chain
+        self._chains = chains + chains[:1]
 
     def _rebuild_owners(self) -> None:
         self._owners = {}
@@ -156,10 +175,7 @@ class ShardRouter:
         its memoised ring digest, so the shard that then executes the
         operation never re-hashes the key bytes the router already hashed.
         """
-        position = bisect_left(self._points, hash_key(key, seed=RING_SEED))
-        if position == len(self._points):
-            position = 0
-        return self._owners[self._points[position]]
+        return self._chains[bisect_left(self._points, hash_key(key, seed=RING_SEED))][0]
 
     def route_many(self, keys: Iterable[KeyLike]) -> List[str]:
         """Shard owner for each key, in order."""
@@ -193,20 +209,8 @@ class ShardRouter:
         """
         if n <= 0:
             raise ConfigurationError("preference list size must be positive")
-        limit = min(n, len(self._shards))
-        index = bisect_left(self._points, position)
-        if index == len(self._points):
-            index = 0
-        preference: List[str] = []
-        seen = set()
-        for offset in range(len(self._points)):
-            owner = self._owners[self._points[(index + offset) % len(self._points)]]
-            if owner not in seen:
-                seen.add(owner)
-                preference.append(owner)
-                if len(preference) == limit:
-                    break
-        return tuple(preference)
+        chain = self._chains[bisect_left(self._points, position)]
+        return chain if n >= len(chain) else chain[:n]
 
     # -- Membership changes -------------------------------------------------------------
 

@@ -21,13 +21,28 @@ Frame types:
 
 ``BATCH_REQUEST``
     A clock advance (the dispatch/routing cost the parent accrued against the
-    shard's mirrored clock) plus an ordered list of operations.  Keys travel
-    as :meth:`repro.core.hashing.KeyDigest.to_wire` payloads, carrying any
-    seeded digests the client side already memoised.
+    shard's mirrored clock) plus an ordered list of operations, laid out as
+    columns::
+
+        <d advance_ms> <u32 count>
+        <u8 op-code> * count
+        <u32 key length> * count  <u32 value length> * count
+        <key blob> <value blob>
+
+    Keys travel as their canonical bytes
+    (:func:`repro.core.hashing.key_data`) and nothing else.  Digest memos do
+    not cross the boundary: a worker builds its own
+    :class:`~repro.core.hashing.KeyDigest` per distinct key of the
+    sub-batch and fills its CLAM seeds in one packed FNV pass
+    (:func:`repro.core.hashing.prime_digests`), so it never trusts a hash
+    value that arrived in a frame.
 ``BATCH_RESPONSE``
-    The per-operation result records (in request order, possibly truncated if
-    the shard's device failed mid-batch), a typed error code for the first
-    failure, and the worker clock's reading plus the batch's busy time.
+    The worker clock's reading and the batch's busy time, a typed error code
+    for the first failure plus its message, then one fixed-width record per
+    result (in request order, possibly truncated if the shard's device failed
+    mid-batch) and a blob holding the found lookup values.  Keys are not
+    echoed: the requester knows them, and :func:`decode_batch_response`
+    re-attaches them from the request.
 ``CONTROL_REQUEST`` / ``CONTROL_RESPONSE``
     Low-rate management traffic (counters, telemetry snapshots, fault
     injection, clean shutdown) as a JSON object — none of it is hot-path.
@@ -44,9 +59,12 @@ worker announces itself), :class:`OversizedFrameError` when a length prefix
 exceeds :data:`MAX_FRAME_BYTES` (corruption or a desynchronised stream must
 not turn into an attempted multi-gigabyte allocation), and
 :class:`CorruptFrameError` when a frame's CRC-32 does not match its bytes.
-The payload decoders are bounds-checked end to end: any flip or truncation a
-fuzzer can produce decodes to a typed ``WireProtocolError`` subclass, never
-a raw ``struct.error`` or ``UnicodeDecodeError``.
+The payload decoders are bounds-checked end to end: column lengths must sum
+exactly to the blob sizes, op, error, record and served-from codes are
+validated, and a response may not carry more results than its request had
+operations, so any flip or truncation a fuzzer can produce decodes to a
+typed ``WireProtocolError`` subclass, never a raw ``struct.error`` or
+``UnicodeDecodeError``.
 """
 
 from __future__ import annotations
@@ -54,10 +72,11 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import accumulate
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.core.errors import DeviceFailedError, ShardUnavailableError, WireProtocolError
-from repro.core.hashing import KeyDigest
+from repro.core.hashing import key_data
 from repro.core.results import DeleteResult, InsertResult, LookupResult, ServedFrom
 from repro.workloads.workload import OpKind
 
@@ -87,8 +106,9 @@ __all__ = [
 ]
 
 #: Protocol version carried in every frame; bumped on any layout change.
-#: v2 added the CRC-32 checksum and the per-frame sequence number.
-WIRE_VERSION = 2
+#: v2 added the CRC-32 checksum and the per-frame sequence number; v3 made
+#: batch payloads columnar and dropped digest memos and echoed keys.
+WIRE_VERSION = 3
 
 #: Hard ceiling on one frame's body.  Generously above any real batch (the
 #: executor sub-batches per shard) while small enough that a corrupt length
@@ -113,13 +133,9 @@ ERR_DEVICE_FAILED = 1
 ERR_SHARD_UNAVAILABLE = 2
 ERR_UNEXPECTED = 3
 
-_OP_CODES: Dict[OpKind, int] = {
-    OpKind.LOOKUP: 0,
-    OpKind.INSERT: 1,
-    OpKind.UPDATE: 2,
-    OpKind.DELETE: 3,
-}
-_CODE_OPS: Dict[int, OpKind] = {code: kind for kind, code in _OP_CODES.items()}
+#: Op code -> kind: an operation's code is its index here.
+_CODE_KINDS = (OpKind.LOOKUP, OpKind.INSERT, OpKind.UPDATE, OpKind.DELETE)
+_OP_CODES: Dict[OpKind, int] = {kind: code for code, kind in enumerate(_CODE_KINDS)}
 
 _SERVED_CODES: Dict[ServedFrom, int] = {
     ServedFrom.BUFFER: 0,
@@ -247,128 +263,116 @@ def _take(payload: bytes, offset: int, size: int) -> Tuple[bytes, int]:
 
 
 _BATCH_REQ_HEAD = struct.Struct("<dI")
-_OP_CODE = struct.Struct("<B")
-_VALUE_LEN = struct.Struct("<I")
-_RESULT_HEAD = struct.Struct("<BI")
-_LOOKUP_TAIL = struct.Struct("<BIdBIII")
-_INSERT_TAIL = struct.Struct("<dBdIII")
-_DELETE_TAIL = struct.Struct("<dB")
+#: Bytes per operation in the request's fixed-width columns: an op code and
+#: the key and value lengths.
+_REQUEST_COLUMN_BYTES = 1 + 4 + 4
 _BATCH_RESP_HEAD = struct.Struct("<ddBII")
+#: One result record: record type, flag (lookup: has a value; insert:
+#: flushed; delete: removed from the buffer), served-from code, latency,
+#: flush latency, three counters (lookup: flash reads, incarnations checked,
+#: false-positive reads; insert: incarnations tried, flash writes, flash
+#: reads) and the length of the record's value in the value blob.
+_RECORD = struct.Struct("<BBBddIIII")
+
+_ERROR_CODES = (ERR_NONE, ERR_DEVICE_FAILED, ERR_SHARD_UNAVAILABLE, ERR_UNEXPECTED)
 
 
 # -- Batch requests -----------------------------------------------------------------
 
 
-def _encode_key(key) -> bytes:
-    """Key bytes or a :class:`KeyDigest` as a digest wire payload."""
-    if type(key) is KeyDigest:
-        return key.to_wire()
-    return KeyDigest(bytes(key)).to_wire()
-
-
 def encode_batch_request(advance_ms: float, operations: Sequence[Tuple[OpKind, object, bytes]]):
-    """Encode ``(kind, key, value)`` triples plus the pending clock advance."""
-    parts = [_BATCH_REQ_HEAD.pack(advance_ms, len(operations))]
+    """Encode ``(kind, key, value)`` triples plus the pending clock advance.
+
+    Keys may be any :data:`~repro.core.hashing.KeyLike`; they travel as their
+    canonical bytes (:func:`~repro.core.hashing.key_data`), the same bytes an
+    in-process CLAM would index them under.
+    """
+    codes = bytearray()
+    keys: List[bytes] = []
+    values: List[bytes] = []
     for kind, key, value in operations:
-        value_bytes = bytes(value)
-        parts.append(_OP_CODE.pack(_OP_CODES[kind]))
-        parts.append(_encode_key(key))
-        parts.append(_VALUE_LEN.pack(len(value_bytes)))
-        parts.append(value_bytes)
-    return b"".join(parts)
+        codes.append(_OP_CODES[kind])
+        keys.append(key_data(key))
+        values.append(value if type(value) is bytes else bytes(value))
+    count = len(keys)
+    lengths = struct.pack(f"<{2 * count}I", *map(len, keys), *map(len, values))
+    return b"".join([_BATCH_REQ_HEAD.pack(advance_ms, count), codes, lengths, *keys, *values])
 
 
-def decode_batch_request(payload: bytes) -> Tuple[float, List[Tuple[OpKind, KeyDigest, bytes]]]:
-    """Inverse of :func:`encode_batch_request`."""
+def _split(payload: bytes, start: int, lengths: Sequence[int]) -> List[bytes]:
+    """Consecutive slices of ``payload`` from ``start`` (bounds already checked)."""
+    ends = list(accumulate(lengths, initial=start))
+    return [payload[begin:end] for begin, end in zip(ends, ends[1:])]
+
+
+def decode_batch_request(payload: bytes) -> Tuple[float, List[OpKind], List[bytes], List[bytes]]:
+    """Inverse of :func:`encode_batch_request`.
+
+    Returns ``(advance_ms, kinds, keys, values)``: the request's columns,
+    one entry per operation.  Op codes are validated, and the key and value
+    lengths must sum exactly to the bytes that follow them.
+    """
     advance_ms, count = _unpack(_BATCH_REQ_HEAD, payload, 0)
     offset = _BATCH_REQ_HEAD.size
-    operations: List[Tuple[OpKind, KeyDigest, bytes]] = []
-    for _ in range(count):
-        (op_code,) = _unpack(_OP_CODE, payload, offset)
-        kind = _CODE_OPS.get(op_code)
-        if kind is None:
-            raise WireProtocolError(f"unknown operation code {op_code}")
-        try:
-            digest, offset = KeyDigest.from_wire(payload, offset + 1)
-        except (struct.error, ValueError) as error:
-            raise WireProtocolError(f"malformed key digest: {error}") from error
-        (value_len,) = _unpack(_VALUE_LEN, payload, offset)
-        value, offset = _take(payload, offset + _VALUE_LEN.size, value_len)
-        operations.append((kind, digest, value))
-    return advance_ms, operations
+    blobs = offset + count * _REQUEST_COLUMN_BYTES
+    if blobs > len(payload):
+        raise WireProtocolError(
+            f"frame payload truncated: {count} operations need {blobs} bytes of "
+            f"columns, have {len(payload)} total"
+        )
+    codes = payload[offset : offset + count]
+    if codes and max(codes) >= len(_CODE_KINDS):
+        raise WireProtocolError(f"unknown operation code {max(codes)}")
+    lengths = struct.unpack_from(f"<{2 * count}I", payload, offset + count)
+    key_lengths, value_lengths = lengths[:count], lengths[count:]
+    keys_size = sum(key_lengths)
+    if blobs + keys_size + sum(value_lengths) != len(payload):
+        raise WireProtocolError(
+            f"key and value lengths sum to {keys_size + sum(value_lengths)} bytes, "
+            f"the blobs hold {len(payload) - blobs}"
+        )
+    kinds = [_CODE_KINDS[code] for code in codes]
+    keys = _split(payload, blobs, key_lengths)
+    values = _split(payload, blobs + keys_size, value_lengths)
+    return advance_ms, kinds, keys, values
 
 
 # -- Batch responses ----------------------------------------------------------------
 
 
-def _encode_result(result: ResultRecord) -> bytes:
+def _encode_record(result: ResultRecord, values: List[bytes]) -> bytes:
     if isinstance(result, LookupResult):
         value = result.value
-        head = _RESULT_HEAD.pack(_RESULT_LOOKUP, len(result.key)) + result.key
-        tail = _LOOKUP_TAIL.pack(
-            1 if value is not None else 0,
-            len(value) if value is not None else 0,
-            result.latency_ms,
+        if value is not None:
+            values.append(value)
+        return _RECORD.pack(
+            _RESULT_LOOKUP,
+            value is not None,
             _SERVED_CODES[result.served_from],
+            result.latency_ms,
+            0.0,
             result.flash_reads,
             result.incarnations_checked,
             result.false_positive_reads,
+            len(value) if value is not None else 0,
         )
-        return head + tail + (value if value is not None else b"")
     if isinstance(result, InsertResult):
-        return (
-            _RESULT_HEAD.pack(_RESULT_INSERT, len(result.key))
-            + result.key
-            + _INSERT_TAIL.pack(
-                result.latency_ms,
-                1 if result.flushed else 0,
-                result.flush_latency_ms,
-                result.incarnations_tried,
-                result.flash_writes,
-                result.flash_reads,
-            )
+        return _RECORD.pack(
+            _RESULT_INSERT,
+            result.flushed,
+            0,
+            result.latency_ms,
+            result.flush_latency_ms,
+            result.incarnations_tried,
+            result.flash_writes,
+            result.flash_reads,
+            0,
         )
     if isinstance(result, DeleteResult):
-        return (
-            _RESULT_HEAD.pack(_RESULT_DELETE, len(result.key))
-            + result.key
-            + _DELETE_TAIL.pack(result.latency_ms, 1 if result.removed_from_buffer else 0)
+        return _RECORD.pack(
+            _RESULT_DELETE, result.removed_from_buffer, 0, result.latency_ms, 0.0, 0, 0, 0, 0
         )
     raise WireProtocolError(f"cannot serialise result type {type(result).__name__}")
-
-
-def _decode_result(payload: bytes, offset: int) -> Tuple[ResultRecord, int]:
-    record_type, key_len = _unpack(_RESULT_HEAD, payload, offset)
-    key, offset = _take(payload, offset + _RESULT_HEAD.size, key_len)
-    if record_type == _RESULT_LOOKUP:
-        has_value, value_len, latency_ms, served_code, flash_reads, incarnations, fp_reads = (
-            _unpack(_LOOKUP_TAIL, payload, offset)
-        )
-        offset += _LOOKUP_TAIL.size
-        value: Optional[bytes] = None
-        if has_value:
-            value, offset = _take(payload, offset, value_len)
-        served = _CODE_SERVED.get(served_code)
-        if served is None:
-            raise WireProtocolError(f"unknown served-from code {served_code}")
-        return (
-            LookupResult(key, value, latency_ms, served, flash_reads, incarnations, fp_reads),
-            offset,
-        )
-    if record_type == _RESULT_INSERT:
-        latency_ms, flushed, flush_latency_ms, tried, writes, reads = _unpack(
-            _INSERT_TAIL, payload, offset
-        )
-        offset += _INSERT_TAIL.size
-        return (
-            InsertResult(key, latency_ms, bool(flushed), flush_latency_ms, tried, writes, reads),
-            offset,
-        )
-    if record_type == _RESULT_DELETE:
-        latency_ms, removed = _unpack(_DELETE_TAIL, payload, offset)
-        offset += _DELETE_TAIL.size
-        return DeleteResult(key, latency_ms, bool(removed)), offset
-    raise WireProtocolError(f"unknown result record type {record_type}")
 
 
 def encode_batch_response(
@@ -378,34 +382,75 @@ def encode_batch_response(
     clock_ms: float,
     busy_ms: float,
 ) -> bytes:
-    """Encode results (request order, truncated at the first failure) + status."""
+    """Encode results (request order, truncated at the first failure) + status.
+
+    Result keys are not sent: the requester re-attaches them from its own
+    request (see :func:`decode_batch_response`).
+    """
     message_bytes = error_message.encode("utf-8")
-    parts = [
-        _BATCH_RESP_HEAD.pack(clock_ms, busy_ms, error_code, len(message_bytes), len(results)),
-        message_bytes,
-    ]
-    for result in results:
-        parts.append(_encode_result(result))
-    return b"".join(parts)
+    values: List[bytes] = []
+    records = [_encode_record(result, values) for result in results]
+    head = _BATCH_RESP_HEAD.pack(clock_ms, busy_ms, error_code, len(message_bytes), len(results))
+    return b"".join([head, message_bytes, *records, *values])
 
 
-def decode_batch_response(payload: bytes) -> Tuple[List[ResultRecord], int, str, float, float]:
-    """Inverse of :func:`encode_batch_response`.
+def decode_batch_response(
+    payload: bytes, keys: Sequence[bytes]
+) -> Tuple[List[ResultRecord], int, str, float, float]:
+    """Inverse of :func:`encode_batch_response` for a request over ``keys``.
 
-    Returns ``(results, error_code, error_message, clock_ms, busy_ms)``.
+    ``keys`` are the canonical key bytes of the request's operations, in
+    request order; result ``i`` gets ``keys[i]``.  A response may carry
+    fewer results than the request had operations only alongside an error
+    code.  Returns ``(results, error_code, error_message, clock_ms,
+    busy_ms)``.
     """
     clock_ms, busy_ms, error_code, message_len, result_count = _unpack(
         _BATCH_RESP_HEAD, payload, 0
     )
+    if error_code not in _ERROR_CODES:
+        raise WireProtocolError(f"unknown error code {error_code}")
+    if result_count > len(keys) or (error_code == ERR_NONE and result_count != len(keys)):
+        raise WireProtocolError(
+            f"response carries {result_count} results for a {len(keys)}-operation request"
+        )
     message_bytes, offset = _take(payload, _BATCH_RESP_HEAD.size, message_len)
     try:
         message = message_bytes.decode("utf-8")
     except UnicodeDecodeError as error:
         raise WireProtocolError(f"malformed error message: {error}") from error
+    records_end = offset + result_count * _RECORD.size
+    if records_end > len(payload):
+        raise WireProtocolError(
+            f"frame payload truncated: {result_count} result records need "
+            f"{records_end} bytes, have {len(payload)} total"
+        )
     results: List[ResultRecord] = []
-    for _ in range(result_count):
-        result, offset = _decode_result(payload, offset)
-        results.append(result)
+    position = records_end  # start of the next value in the value blob
+    for key, (record_type, flag, served_code, latency_ms, extra_ms, a, b, c, value_len) in zip(
+        keys, _RECORD.iter_unpack(payload[offset:records_end])
+    ):
+        if flag > 1:
+            raise WireProtocolError(f"malformed result record flag {flag}")
+        end = position + value_len
+        if record_type == _RESULT_LOOKUP:
+            served = _CODE_SERVED.get(served_code)
+            if served is None:
+                raise WireProtocolError(f"unknown served-from code {served_code}")
+            value = payload[position:end] if flag else None
+            results.append(LookupResult(key, value, latency_ms, served, a, b, c))
+        elif record_type == _RESULT_INSERT:
+            results.append(InsertResult(key, latency_ms, bool(flag), extra_ms, a, b, c))
+        elif record_type == _RESULT_DELETE:
+            results.append(DeleteResult(key, latency_ms, bool(flag)))
+        else:
+            raise WireProtocolError(f"unknown result record type {record_type}")
+        position = end
+    if position != len(payload):
+        raise WireProtocolError(
+            f"value lengths sum to {position - records_end} bytes, "
+            f"the value blob holds {len(payload) - records_end}"
+        )
     return results, error_code, message, clock_ms, busy_ms
 
 

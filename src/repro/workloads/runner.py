@@ -58,17 +58,24 @@ def apply_operation(index: HashIndex, operation: Operation, key=None):
     the resulting :class:`~repro.core.hashing.KeyDigest` through so the index
     does not hash the key bytes a second time.
     """
-    if key is None:
-        key = operation.key
-    if operation.kind is OpKind.LOOKUP:
+    return apply_op(index, operation.kind, operation.key if key is None else key, operation.value)
+
+
+def apply_op(index: HashIndex, kind: OpKind, key, value: bytes = b""):
+    """:func:`apply_operation` for a caller holding an operation's parts.
+
+    A shard worker decodes its sub-batch into columns of kinds, keys and
+    values; this saves it building an :class:`Operation` per row.
+    """
+    if kind is OpKind.LOOKUP:
         return index.lookup(key)
-    if operation.kind is OpKind.INSERT:
-        return index.insert(key, operation.value)
-    if operation.kind is OpKind.UPDATE:
-        return index.update(key, operation.value)
-    if operation.kind is OpKind.DELETE:
+    if kind is OpKind.INSERT:
+        return index.insert(key, value)
+    if kind is OpKind.UPDATE:
+        return index.update(key, value)
+    if kind is OpKind.DELETE:
         return index.delete(key)
-    raise ValueError(f"unknown operation kind {operation.kind!r}")
+    raise ValueError(f"unknown operation kind {kind!r}")
 
 
 @dataclass

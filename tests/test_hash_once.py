@@ -10,7 +10,9 @@ Three claims, each enforced here:
    key bytes at most once per layer; probing several incarnations reuses the
    Bloom/page hashes that the legacy path recomputed per incarnation.
 3. **Service reuse** — a digest built for consistent-hash routing is the
-   digest the owning CLAM uses, end to end through the batch executor.
+   digest the owning CLAM uses, end to end through the batch executor; a
+   shard worker, which receives key bytes only, hashes each distinct key of
+   a sub-batch at most once per seed.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ import pytest
 
 from repro.core import CLAM, CLAMConfig
 from repro.core.hashing import (
+    PAGE_SEED,
     SEED_LAYERS,
     clear_digest_cache,
     count_hash_calls,
 )
-from repro.service import ClusterService
+from repro.service import ClusterService, wire
+from repro.service.parallel import _PRIMED_SEEDS, _handle_batch
 from repro.workloads.workload import Operation, OpKind
 
 
@@ -198,3 +202,61 @@ class TestServiceReuse:
         batched.execute_batch([Operation(OpKind.INSERT, key, b"v") for key in keys])
         for key in keys:
             assert sequential.get(key) == batched.get(key) == b"v"
+
+
+class TestWorkerPriming:
+    """A worker's batch handler hashes a sub-batch, not each operation."""
+
+    @staticmethod
+    def _sub_batch():
+        """64 operations over 23 distinct keys: flash-resident lookups,
+        buffer hits, misses, fresh inserts and an update, with repeats."""
+        operations = []
+        for i in range(64):
+            rank = (i * 7) % 24
+            if rank < 12:
+                operations.append((OpKind.LOOKUP, b"cnt-%04d" % (rank * 50), b""))
+            elif rank < 18:
+                operations.append((OpKind.LOOKUP, b"miss-%04d" % rank, b""))
+            elif rank < 23:
+                operations.append((OpKind.INSERT, b"new-%04d" % rank, b"v%d" % i))
+            else:
+                operations.append((OpKind.UPDATE, b"cnt-0100", b"u%d" % i))
+        return operations
+
+    @staticmethod
+    def _loaded_clam(hash_once: bool) -> CLAM:
+        clam = CLAM(_config(hash_once), storage="intel-ssd", keep_latency_samples=False)
+        for i in range(800):
+            clam.insert(b"cnt-%04d" % i, b"v")
+        return clam
+
+    def test_each_seed_hashed_at_most_once_per_distinct_key(self):
+        operations = self._sub_batch()
+        distinct = len({key for _, key, _ in operations})
+        clam = self._loaded_clam(hash_once=True)
+        payload = wire.encode_batch_request(0.0, operations)
+        clear_digest_cache()
+        with count_hash_calls() as log:
+            _handle_batch(clam, True, payload)
+        for seed in _PRIMED_SEEDS:
+            assert log.by_seed[seed] == distinct, SEED_LAYERS[seed]
+        assert 0 < log.by_seed.get(PAGE_SEED, 0) <= distinct  # lazy, but hashed once
+
+    @pytest.mark.parametrize("hash_once", [True, False])
+    def test_results_match_one_operation_at_a_time(self, hash_once):
+        operations = self._sub_batch()
+        reference = self._loaded_clam(hash_once)
+        expected = [
+            reference.lookup(key) if kind is OpKind.LOOKUP else reference.insert(key, value)
+            for kind, key, value in operations
+        ]
+        clam = self._loaded_clam(hash_once)
+        response = _handle_batch(clam, hash_once, wire.encode_batch_request(0.0, operations))
+        results, code, _, clock_ms, _ = wire.decode_batch_response(
+            response, [key for _, key, _ in operations]
+        )
+        assert code == wire.ERR_NONE
+        assert results == expected
+        assert clam.counters() == reference.counters()
+        assert clock_ms == reference.clock.now_ms

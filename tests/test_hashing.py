@@ -8,6 +8,7 @@ from repro.core.hashing import (
     BLOOM_SEED_H2,
     CUCKOO_SEED_FIRST,
     CUCKOO_SEED_SECOND,
+    PACKED_MIN_LANES,
     PAGE_SEED,
     PARTITION_SEED,
     RING_SEED,
@@ -18,8 +19,10 @@ from repro.core.hashing import (
     digest_cache_info,
     double_hashes,
     fnv1a_64,
+    fnv1a_64_packed,
     hash_key,
     key_data,
+    prime_digests,
     set_digest_cache_capacity,
     to_key_bytes,
 )
@@ -322,3 +325,60 @@ class TestHashCallCounting:
         assert snapshot["fnv_incarnation_page"] == 1.0
         assert snapshot["fnv_total"] == 1.0
         assert snapshot["digest_builds"] == 0.0
+
+
+class TestPackedHashing:
+    """The packed pass is bit-identical to the scalar reference."""
+
+    @given(
+        keys=st.lists(st.binary(min_size=0, max_size=40), min_size=0, max_size=80),
+        seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=6),
+    )
+    def test_prime_digests_matches_scalar_fnv(self, keys, seeds):
+        digests = [KeyDigest(key) for key in keys]
+        prime_digests(digests, seeds)
+        for digest in digests:
+            for seed in seeds:
+                assert digest._seeded[seed] == fnv1a_64(digest.data, seed)
+
+    @given(
+        width=st.integers(min_value=0, max_value=40),
+        lanes=st.integers(min_value=1, max_value=3 * PACKED_MIN_LANES),
+        data=st.data(),
+    )
+    def test_packed_lanes_match_scalar_on_both_sides_of_the_crossover(self, width, lanes, data):
+        datas = data.draw(
+            st.lists(st.binary(min_size=width, max_size=width), min_size=lanes, max_size=lanes)
+        )
+        seeds = data.draw(
+            st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=lanes, max_size=lanes)
+        )
+        assert fnv1a_64_packed(datas, seeds) == [
+            fnv1a_64(key, seed) for key, seed in zip(datas, seeds)
+        ]
+
+    def test_empty_key_and_empty_group(self):
+        assert fnv1a_64_packed([b""] * 9, list(range(9))) == [fnv1a_64(b"", s) for s in range(9)]
+        assert fnv1a_64_packed([], []) == []
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            fnv1a_64_packed([b"ab", b"abc"], [1, 2])
+        with pytest.raises(ValueError):
+            fnv1a_64_packed([b"ab"], [1, 2])
+
+    def test_counts_one_pass_per_lane_and_skips_memoised_seeds(self):
+        seeds = (PARTITION_SEED, BLOOM_SEED_H1)
+        # 12 keys x 2 seeds: one packed group of 24 lanes, plus one short key
+        # whose 2 lanes fall below the crossover and go lane by lane.
+        digests = [KeyDigest(b"packed-%05d" % i) for i in range(12)] + [KeyDigest(b"s")]
+        digests[0].digest(PARTITION_SEED)  # memoised: must not be hashed again
+        with count_hash_calls() as log:
+            prime_digests(digests, seeds)
+        assert log.by_seed == {PARTITION_SEED: 12, BLOOM_SEED_H1: 13}
+        assert log.digest_builds == 0
+        with count_hash_calls() as log:
+            prime_digests(digests, seeds)  # everything memoised now
+            for digest in digests:
+                digest.digest(PARTITION_SEED)
+        assert log.total == 0

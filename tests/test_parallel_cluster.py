@@ -13,7 +13,7 @@ The two contracts under test:
 
 import pytest
 
-from repro.core import CLAMConfig
+from repro.core import CLAM, CLAMConfig
 from repro.core.errors import (
     ClusterCloseError,
     ConfigurationError,
@@ -94,8 +94,8 @@ class TestBitIdenticalParity:
             assert actual_batch.busy_ms == expected_batch.busy_ms
             assert actual_batch.dispatch_ms == expected_batch.dispatch_ms
 
-    def test_hash_once_digests_cross_the_wire(self, cluster_config):
-        """Routing digests are serialised with the key, not recomputed."""
+    def test_batched_lookups_and_counters_match_in_process(self, cluster_config):
+        """Workers rebuild digests from key bytes; results do not change."""
         with ParallelClusterService(num_shards=4, config=cluster_config) as parallel:
             reference = ClusterService(num_shards=4, config=cluster_config)
             keys = [b"fp-%d" % i for i in range(64)]
@@ -105,6 +105,23 @@ class TestBitIdenticalParity:
                 r.found for r in reference.lookup_batch(keys)
             ]
             assert parallel.stats.combined() == reference.stats.combined()
+
+
+class TestRemoteShardKeys:
+    """A RemoteShard is a HashIndex: any KeyLike works, as on a CLAM."""
+
+    def test_int_and_str_keys_match_an_in_process_clam(self, cluster_config):
+        reference = CLAM(cluster_config, storage="dram")
+        with ParallelClusterService(num_shards=1, config=cluster_config, storage="dram") as cluster:
+            (shard,) = cluster.shards.values()
+            for key, value in [(5, b"five"), ("fünf", b"str"), (0x41, b"int-A"), (256, b"big")]:
+                assert shard.insert(key, value) == reference.insert(key, value)
+            for key in (5, b"\x05", "fünf", "A", b"A", 256, 6, "absent"):
+                assert shard.lookup(key) == reference.lookup(key)
+            assert reference.lookup(5).value == shard.lookup(5).value == b"five"
+            assert shard.lookup("fünf").key == reference.lookup("fünf").key == "fünf".encode()
+            assert shard.delete(256) == reference.delete(256)
+            assert shard.counters() == reference.counters()
 
 
 class TestWorkerFailure:

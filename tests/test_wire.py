@@ -146,23 +146,25 @@ class TestFraming:
         assert issubclass(wire.CorruptFrameError, WireProtocolError)
 
 
+#: The keys of the sample batch request, which the sample response answers.
+SAMPLE_KEYS = [b"fingerprint-xyz", b"plain-key", b"dead"]
+
+
 def _sample_frames():
     """One realistic frame of every type, for the tamper/fuzz sweeps."""
-    digest = KeyDigest(b"fingerprint-xyz")
-    digest.digest(7)
     request = wire.encode_batch_request(
         1.25,
         [
-            (OpKind.INSERT, digest, b"value-bytes"),
-            (OpKind.LOOKUP, b"plain-key", b""),
-            (OpKind.DELETE, KeyDigest(b"dead"), b""),
+            (OpKind.INSERT, KeyDigest(SAMPLE_KEYS[0]), b"value-bytes"),
+            (OpKind.LOOKUP, SAMPLE_KEYS[1], b""),
+            (OpKind.DELETE, KeyDigest(SAMPLE_KEYS[2]), b""),
         ],
     )
     response = wire.encode_batch_response(
         [
-            LookupResult(b"k1", b"v1", 0.125, ServedFrom.BUFFER, 1, 2, 0),
-            InsertResult(b"k2", 0.25, flushed=True, flush_latency_ms=1.5),
-            DeleteResult(b"k3", 0.5, removed_from_buffer=True),
+            LookupResult(SAMPLE_KEYS[0], b"v1", 0.125, ServedFrom.BUFFER, 1, 2, 0),
+            InsertResult(SAMPLE_KEYS[1], 0.25, flushed=True, flush_latency_ms=1.5),
+            DeleteResult(SAMPLE_KEYS[2], 0.5, removed_from_buffer=True),
         ],
         wire.ERR_DEVICE_FAILED,
         "DeviceFailedError: boom",
@@ -176,6 +178,10 @@ def _sample_frames():
         (wire.FRAME_CONTROL_REQUEST, control),
         (wire.FRAME_CONTROL_RESPONSE, control),
     ]
+
+
+def _decode_response(payload):
+    return wire.decode_batch_response(payload, SAMPLE_KEYS)
 
 
 class TestWireFuzz:
@@ -204,7 +210,7 @@ class TestWireFuzz:
                     if kind == wire.FRAME_BATCH_REQUEST:
                         wire.decode_batch_request(decoded)
                     elif kind == wire.FRAME_BATCH_RESPONSE:
-                        wire.decode_batch_response(decoded)
+                        _decode_response(decoded)
                     else:
                         wire.decode_control(decoded)
                 except WireProtocolError:
@@ -223,7 +229,7 @@ class TestWireFuzz:
         of the checksum), the payload decoders are fully bounds-checked."""
         decoders = {
             wire.FRAME_BATCH_REQUEST: wire.decode_batch_request,
-            wire.FRAME_BATCH_RESPONSE: wire.decode_batch_response,
+            wire.FRAME_BATCH_RESPONSE: _decode_response,
             wire.FRAME_CONTROL_REQUEST: wire.decode_control,
             wire.FRAME_CONTROL_RESPONSE: wire.decode_control,
         }
@@ -299,45 +305,113 @@ class TestErrorCodes:
             wire.raise_for_code(wire.ERR_UNEXPECTED, "worker exploded")
 
 
+def _request_payload(advance_ms, codes, keys, values):
+    """A raw v3 batch request, for tests that need malformed columns."""
+    lengths = [len(key) for key in keys] + [len(value) for value in values]
+    return (
+        struct.pack("<dI", advance_ms, len(codes))
+        + bytes(codes)
+        + struct.pack(f"<{len(lengths)}I", *lengths)
+        + b"".join(keys)
+        + b"".join(values)
+    )
+
+
 class TestBatchRequest:
-    def test_roundtrip_preserves_ops_keys_and_memoised_digests(self):
-        digest = KeyDigest(b"fingerprint-1")
-        digest.digest(7)
-        digest.digest(1234567)
+    def test_roundtrip_preserves_ops_keys_and_values(self):
         operations = [
-            (OpKind.INSERT, digest, b"value-bytes"),
+            (OpKind.INSERT, KeyDigest(b"fingerprint-1"), b"value-bytes"),
             (OpKind.LOOKUP, b"plain-key", b""),
             (OpKind.DELETE, KeyDigest(b"dead"), b""),
             (OpKind.UPDATE, b"k2", b"\x00\xff" * 8),
+            (OpKind.LOOKUP, b"", b""),
         ]
         payload = wire.encode_batch_request(1.25, operations)
-        advance_ms, decoded = wire.decode_batch_request(payload)
+        advance_ms, kinds, keys, values = wire.decode_batch_request(payload)
         assert advance_ms == 1.25
-        assert [(k, d.data, v) for k, d, v in decoded] == [
-            (OpKind.INSERT, b"fingerprint-1", b"value-bytes"),
-            (OpKind.LOOKUP, b"plain-key", b""),
-            (OpKind.DELETE, b"dead", b""),
-            (OpKind.UPDATE, b"k2", b"\x00\xff" * 8),
+        assert kinds == [kind for kind, _, _ in operations]
+        assert keys == [b"fingerprint-1", b"plain-key", b"dead", b"k2", b""]
+        assert values == [b"value-bytes", b"", b"", b"\x00\xff" * 8, b""]
+
+    @given(
+        operations=st.lists(
+            st.tuples(
+                st.sampled_from(list(OpKind)),
+                st.binary(max_size=40),
+                st.binary(max_size=40),
+            ),
+            max_size=80,
+        ),
+        advance_ms=st.floats(allow_nan=False),
+    )
+    def test_any_batch_roundtrips(self, operations, advance_ms):
+        payload = wire.encode_batch_request(advance_ms, operations)
+        assert wire.decode_batch_request(payload) == (
+            advance_ms,
+            [kind for kind, _, _ in operations],
+            [key for _, key, _ in operations],
+            [value for _, _, value in operations],
+        )
+
+    def test_layout_is_columnar_and_carries_no_digest_memos(self):
+        digest = KeyDigest(b"abc")
+        digest.digest(7)  # a memo the wire must not carry
+        payload = wire.encode_batch_request(0.5, [(OpKind.INSERT, digest, b"vv")])
+        assert payload == _request_payload(0.5, [1], [b"abc"], [b"vv"])
+
+    def test_keys_are_canonicalised(self):
+        """Int and str keys travel as the bytes an in-process CLAM indexes."""
+        operations = [
+            (OpKind.INSERT, 5, b"v"),
+            (OpKind.LOOKUP, "kö", b""),
+            (OpKind.DELETE, 256, b""),
         ]
-        # The memoised seeded digests ride along bit-exactly (hash-once
-        # across the process boundary).
-        assert decoded[0][1]._seeded == digest._seeded
+        _, _, keys, _ = wire.decode_batch_request(wire.encode_batch_request(0.0, operations))
+        assert keys == [b"\x05", "kö".encode("utf-8"), b"\x01\x00"]
+
+    def test_empty_batch_roundtrips(self):
+        assert wire.decode_batch_request(wire.encode_batch_request(0.0, [])) == (0.0, [], [], [])
 
     def test_unknown_op_code_rejected(self):
-        payload = struct.pack("<dI", 0.0, 1) + struct.pack("<B", 200)
+        payload = _request_payload(0.0, [200], [b"k"], [b""])
         with pytest.raises(WireProtocolError, match="operation code"):
             wire.decode_batch_request(payload)
 
     def test_truncated_value_rejected(self):
         payload = wire.encode_batch_request(0.0, [(OpKind.INSERT, b"key", b"value")])
-        with pytest.raises(WireProtocolError, match="truncated"):
+        with pytest.raises(WireProtocolError, match="sum to"):
             wire.decode_batch_request(payload[:-2])
+
+    def test_count_beyond_payload_rejected(self):
+        payload = struct.pack("<dI", 0.0, 2**32 - 1) + b"\x00" * 20
+        with pytest.raises(WireProtocolError, match="truncated"):
+            wire.decode_batch_request(payload)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_length_sum_mismatch_rejected(self, delta):
+        """A key or value length that disagrees with the blobs by one byte,
+        either way, is rejected instead of shifting every later key."""
+        good = _request_payload(0.0, [1, 0], [b"key-1", b"key-2"], [b"val", b""])
+        lengths_at = struct.calcsize("<dI") + 2
+        for column in range(4):
+            broken = bytearray(good)
+            (length,) = struct.unpack_from("<I", broken, lengths_at + 4 * column)
+            struct.pack_into("<I", broken, lengths_at + 4 * column, max(0, length + delta))
+            if bytes(broken) == good:
+                continue
+            with pytest.raises(WireProtocolError, match="sum to"):
+                wire.decode_batch_request(bytes(broken))
+
+    def test_trailing_bytes_rejected(self):
+        payload = wire.encode_batch_request(0.0, [(OpKind.LOOKUP, b"key", b"")])
+        with pytest.raises(WireProtocolError, match="sum to"):
+            wire.decode_batch_request(payload + b"x")
 
 
 class TestBatchResponse:
     def roundtrip(self, results, error_code=wire.ERR_NONE, message=""):
         payload = wire.encode_batch_response(results, error_code, message, 12.5, 3.25)
-        return wire.decode_batch_response(payload)
+        return wire.decode_batch_response(payload, [result.key for result in results])
 
     def test_lookup_results_roundtrip_every_served_from(self):
         originals = [
@@ -345,6 +419,7 @@ class TestBatchResponse:
             LookupResult(b"k2", b"v2", 1.5, ServedFrom.INCARNATION, 3, 2, 1),
             LookupResult(b"k3", None, 0.25, ServedFrom.DELETED),
             LookupResult(b"k4", None, 0.75, ServedFrom.MISSING, 4, 4, 4),
+            LookupResult(b"k5", b"", 0.5, ServedFrom.BUFFER),
         ]
         decoded, code, message, clock_ms, busy_ms = self.roundtrip(originals)
         assert decoded == originals  # dataclass equality: every field, bit-exact
@@ -353,8 +428,15 @@ class TestBatchResponse:
 
     def test_insert_and_delete_results_roundtrip(self):
         originals = [
-            InsertResult(b"k", 0.1 + 0.2, flushed=True, flush_latency_ms=7.7,
-                         incarnations_tried=2, flash_writes=5, flash_reads=3),
+            InsertResult(
+                b"k",
+                0.1 + 0.2,
+                flushed=True,
+                flush_latency_ms=7.7,
+                incarnations_tried=2,
+                flash_writes=5,
+                flash_reads=3,
+            ),
             InsertResult(b"k2", 0.001),
             DeleteResult(b"gone", 0.5, removed_from_buffer=True),
             DeleteResult(b"gone2", 1.0 / 3.0),
@@ -362,43 +444,89 @@ class TestBatchResponse:
         decoded, _, _, _, _ = self.roundtrip(originals)
         assert decoded == originals
 
+    def test_keys_are_not_echoed(self):
+        """Records carry no key bytes; the requester's keys are re-attached."""
+        result = LookupResult(b"long-key" * 8, None, 0.5, ServedFrom.MISSING)
+        payload = wire.encode_batch_response([result], wire.ERR_NONE, "", 0.0, 0.0)
+        assert b"long-key" not in payload
+        decoded, _, _, _, _ = wire.decode_batch_response(payload, [b"mine"])
+        assert decoded[0].key == b"mine"
+
     def test_float_fields_survive_bit_exactly(self):
         """Latencies feed the bit-identical contract; doubles must not drift."""
         awkward = 1.0000000000000002  # one ulp above 1.0
         decoded, _, _, clock_ms, _ = wire.decode_batch_response(
             wire.encode_batch_response(
                 [InsertResult(b"k", awkward)], wire.ERR_NONE, "", awkward, 0.0
-            )
+            ),
+            [b"k"],
         )
         assert decoded[0].latency_ms == awkward
         assert clock_ms == awkward
 
     def test_error_code_and_message_roundtrip(self):
-        decoded, code, message, _, _ = self.roundtrip(
-            [InsertResult(b"k", 1.0)], wire.ERR_DEVICE_FAILED, "DeviceFailedError: dead"
+        payload = wire.encode_batch_response(
+            [InsertResult(b"k", 1.0)], wire.ERR_DEVICE_FAILED, "DeviceFailedError: dead", 0.0, 0.0
         )
+        decoded, code, message, _, _ = wire.decode_batch_response(payload, [b"k", b"k2"])
         assert len(decoded) == 1  # truncated result list rides with the error
         assert code == wire.ERR_DEVICE_FAILED
         assert message == "DeviceFailedError: dead"
 
-    def test_unknown_result_record_rejected(self):
-        payload = wire.encode_batch_response([], wire.ERR_NONE, "", 0.0, 0.0)
-        payload += struct.pack("<BI", 77, 0)
-        header = struct.calcsize("<ddBII")
-        broken = payload[:header].replace(
-            struct.pack("<I", 0), struct.pack("<I", 1), 1
+    def test_result_count_mismatch_rejected(self):
+        payload = wire.encode_batch_response(
+            [InsertResult(b"a", 1.0), InsertResult(b"b", 1.0)], wire.ERR_NONE, "", 0.0, 0.0
         )
-        # Rebuild with result_count=1 pointing at the bogus record.
-        clock_ms, busy_ms, code, msg_len, _ = struct.unpack_from("<ddBII", payload)
-        broken = struct.pack("<ddBII", clock_ms, busy_ms, code, msg_len, 1) + payload[header:]
+        with pytest.raises(WireProtocolError, match="results for a 1-operation"):
+            wire.decode_batch_response(payload, [b"a"])  # more results than operations
+        with pytest.raises(WireProtocolError, match="results for a 3-operation"):
+            wire.decode_batch_response(payload, [b"a", b"b", b"c"])  # short without an error
+
+    def test_unknown_error_code_rejected(self):
+        payload = wire.encode_batch_response([], 9, "", 0.0, 0.0)
+        with pytest.raises(WireProtocolError, match="error code"):
+            wire.decode_batch_response(payload, [])
+
+    def test_unknown_result_record_rejected(self):
+        payload = bytearray(
+            wire.encode_batch_response([DeleteResult(b"k", 1.0)], wire.ERR_NONE, "", 0.0, 0.0)
+        )
+        payload[struct.calcsize("<ddBII")] = 77  # the record-type byte
         with pytest.raises(WireProtocolError, match="record type"):
-            wire.decode_batch_response(broken)
+            wire.decode_batch_response(bytes(payload), [b"k"])
+
+    def test_unknown_served_from_rejected(self):
+        payload = bytearray(
+            wire.encode_batch_response(
+                [LookupResult(b"k", None, 1.0, ServedFrom.MISSING)], wire.ERR_NONE, "", 0.0, 0.0
+            )
+        )
+        payload[struct.calcsize("<ddBII") + 2] = 9  # the served-from byte
+        with pytest.raises(WireProtocolError, match="served-from"):
+            wire.decode_batch_response(bytes(payload), [b"k"])
+
+    def test_malformed_flag_rejected(self):
+        payload = bytearray(
+            wire.encode_batch_response([InsertResult(b"k", 1.0)], wire.ERR_NONE, "", 0.0, 0.0)
+        )
+        payload[struct.calcsize("<ddBII") + 1] = 2  # the flag byte
+        with pytest.raises(WireProtocolError, match="flag"):
+            wire.decode_batch_response(bytes(payload), [b"k"])
+
+    def test_value_length_mismatch_rejected(self):
+        payload = wire.encode_batch_response(
+            [LookupResult(b"k", b"value", 1.0, ServedFrom.BUFFER)], wire.ERR_NONE, "", 0.0, 0.0
+        )
+        with pytest.raises(WireProtocolError, match="sum to"):
+            wire.decode_batch_response(payload[:-1], [b"k"])
+        with pytest.raises(WireProtocolError, match="sum to"):
+            wire.decode_batch_response(payload + b"!", [b"k"])
 
     def test_invalid_utf8_message_rejected(self):
         payload = wire.encode_batch_response([], wire.ERR_UNEXPECTED, "abc", 0.0, 0.0)
         broken = payload.replace(b"abc", b"\xff\xfe\xff")
         with pytest.raises(WireProtocolError, match="message"):
-            wire.decode_batch_response(broken)
+            wire.decode_batch_response(broken, [])
 
 
 class TestControlFrames:
@@ -413,22 +541,3 @@ class TestControlFrames:
     def test_non_object_rejected(self):
         with pytest.raises(WireProtocolError, match="object"):
             wire.decode_control(b"[1, 2, 3]")
-
-
-class TestKeyDigestWire:
-    def test_digest_without_seeds(self):
-        digest, offset = KeyDigest.from_wire(KeyDigest(b"abc").to_wire())
-        assert digest.data == b"abc"
-        assert digest._seeded == {}
-        assert offset == 5 + 3
-
-    def test_consecutive_digests_share_buffer(self):
-        first = KeyDigest(b"one")
-        first.digest(1)
-        second = KeyDigest(b"two")
-        payload = first.to_wire() + second.to_wire()
-        a, offset = KeyDigest.from_wire(payload)
-        b, end = KeyDigest.from_wire(payload, offset)
-        assert (a.data, b.data) == (b"one", b"two")
-        assert a._seeded == first._seeded
-        assert end == len(payload)
