@@ -5,8 +5,8 @@ because content-defined chunking is the CPU bottleneck of a WAN optimizer.
 PR 5 rewrote :class:`~repro.wanopt.chunking.RabinChunker` around a 256-entry
 outgoing-byte removal table, min-size skip-ahead and (when numpy is
 importable) a whole-buffer vectorised candidate scan — all bit-identical to
-the original per-byte loop, which is kept verbatim as
-``reference_boundaries`` and measured here as the "before" side.
+the original per-byte loop, which is kept verbatim as the test oracle
+``tests/rabin_oracle.py`` and measured here as the "before" side.
 
 Three measurements land in ``BENCH_chunking.json``:
 
@@ -51,6 +51,7 @@ from repro.telemetry import build_snapshot
 from repro.wanopt.chunking import HAVE_NUMPY, RabinChunker
 from repro.wanopt.engine import CompressionEngine
 from repro.wanopt.traces import build_payload_objects
+from tests.rabin_oracle import oracle_boundaries
 
 #: (payload_kib, average_size) workloads; the first is the headline.
 WORKLOADS = [
@@ -93,7 +94,7 @@ def measure_workload(payload_kib: int, average: int, reps: int, reference_reps: 
     data = random.Random(PAYLOAD_SEED).randbytes(payload_kib * 1024)
     chunker = RabinChunker(average_size=average)
     boundaries = chunker.boundaries(data)
-    reference = chunker.reference_boundaries(data)
+    reference = oracle_boundaries(chunker, data)
     assert boundaries == reference, "optimized boundaries diverged from the reference"
 
     skip = chunker.skip_per_chunk
@@ -105,7 +106,7 @@ def measure_workload(payload_kib: int, average: int, reps: int, reference_reps: 
         "chunks": len(boundaries),
         "skip_ahead_byte_savings": skipped / len(data) if data else 0.0,
         "reference_mb_per_s": _best_rate(
-            lambda: chunker.reference_boundaries(data), len(data), reference_reps
+            lambda: oracle_boundaries(chunker, data), len(data), reference_reps
         ),
     }
     scalar = RabinChunker(average_size=average, vectorized=False)

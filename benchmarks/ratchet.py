@@ -5,8 +5,8 @@ Every benchmark that commits a ``BENCH_<name>.json`` can ratchet a fresh
 fresh run must stay within per-metric tolerances, and CI fails on any
 violation.  This module is the one place that comparison logic lives —
 ``bench_chunking``'s speedup floor, ``bench_hotpath``'s same-run telemetry
-A/B and ``bench_rebalance``'s zero-lost-keys/availability contract all call
-the same primitives.
+A/B and hash-pass counts and ``bench_rebalance``'s
+zero-lost-keys/availability contract all call the same primitives.
 
 Two kinds of checks:
 
@@ -18,7 +18,7 @@ Two kinds of checks:
   declarative list of :class:`Metric` rules compared between a fresh
   ``BENCH_<fresh>.json`` and the committed ``BENCH_<committed>.json``.  Only
   machine- and workload-size-invariant metrics belong here (availability,
-  zero-loss counters, completion flags, ratios) — quick runs are smaller
+  zero-loss counters, completion flags, ratios, hash-pass counts) — quick runs are smaller
   than committed full runs, so absolute throughput never qualifies.
 
 Run as a CLI (``python benchmarks/ratchet.py [name ...]``) it checks every
@@ -158,10 +158,24 @@ class RatchetSpec:
         return REPO_ROOT / f"BENCH_{self.committed}.json"
 
 
-#: File-level ratchets the CLI knows about.  Benchmarks with purely
-#: in-process ratchets (hotpath's same-run A/B, chunking's per-row speedup
-#: floors) use :func:`assert_fraction` directly and are not listed here.
+#: File-level ratchets the CLI knows about.  In-process ratchets (hotpath's
+#: same-run telemetry A/B, chunking's per-row speedup floors) use
+#: :func:`assert_fraction` directly and are not listed here.
 REGISTRY: Dict[str, RatchetSpec] = {
+    "hotpath": RatchetSpec(
+        name="hotpath",
+        fresh="hotpath_quick",
+        committed="hotpath",
+        metrics=tuple(
+            # Full-key hash passes per operation, by layer: sampled over a
+            # fixed number of operations on fixed configurations, so the
+            # counts are identical in quick and full runs on any machine.
+            # Each per-layer dict is compared whole, so a layer that starts
+            # (or stops) hashing fails the check too.
+            Metric(f"hash_calls_per_op.{operation}", "exact")
+            for operation in ("lookup_cold", "lookup_cached", "insert_cold", "insert_cached")
+        ),
+    ),
     "rebalance": RatchetSpec(
         name="rebalance",
         fresh="rebalance_quick",
@@ -266,9 +280,7 @@ def check_spec(spec: RatchetSpec) -> List[Dict]:
         )
     fresh_payload = json.loads(fresh_path.read_text())
     committed_payload = json.loads(committed_path.read_text())
-    return [
-        metric.check(spec.name, fresh_payload, committed_payload) for metric in spec.metrics
-    ]
+    return [metric.check(spec.name, fresh_payload, committed_payload) for metric in spec.metrics]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

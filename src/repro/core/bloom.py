@@ -104,9 +104,8 @@ class BloomFilter:
         """Indices of set bits in increasing order.
 
         The bit-sliced array (:mod:`repro.core.sliced_bloom`) transposes a
-        frozen filter through this, so alternative bit-storage
-        implementations (e.g. the legacy big-int used as the benchmark
-        baseline) only need to provide this one accessor.
+        frozen filter through this, so an alternative bit-storage
+        implementation only needs to provide this one accessor.
         """
         for byte_index, byte in enumerate(self._bits):
             if byte:

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 from repro.core.config import CLAMConfig
 from repro.core.errors import ConfigurationError
 from repro.core.eviction import EvictionPolicy, make_policy
-from repro.core.hashing import PARTITION_SEED, KeyLike, canonical_key, hash_key
+from repro.core.hashing import PARTITION_SEED, KeyLike, as_digest, hash_key
 from repro.core.results import DeleteResult, InsertResult, LookupResult
 from repro.core.storage import (
     IncarnationStore,
@@ -100,7 +100,6 @@ class BufferHash:
                 eviction_policy=eviction_policy,
                 use_bloom_filters=config.use_bloom_filters,
                 use_bit_slicing=config.use_bit_slicing,
-                use_hash_once=config.use_hash_once,
             )
             for index in range(config.num_super_tables)
         ]
@@ -151,29 +150,19 @@ class BufferHash:
 
     # -- Partitioning -------------------------------------------------------------------
 
-    def _canonical(self, key: KeyLike) -> KeyLike:
-        """Canonicalise ``key`` exactly once at this API boundary.
-
-        Hash-once mode wraps the key in a (cached) KeyDigest that every layer
-        below reuses; the ablation mode reproduces the original per-layer
-        re-hashing by passing plain canonical bytes through (shared policy:
-        :func:`repro.core.hashing.canonical_key`).
-        """
-        return canonical_key(key, self.config.use_hash_once)
-
     def _table_for_canonical(self, key: KeyLike) -> SuperTable:
         """Partition an already-canonicalised key (first k1 hash bits)."""
         return self.tables[hash_key(key, seed=PARTITION_SEED) % len(self.tables)]
 
     def table_for(self, key: KeyLike) -> SuperTable:
         """The super table owning ``key`` (first k1 hash bits in the paper)."""
-        return self._table_for_canonical(self._canonical(key))
+        return self._table_for_canonical(as_digest(key))
 
     # -- Hash-table operations ------------------------------------------------------------
 
     def insert(self, key: KeyLike, value: bytes) -> InsertResult:
         """Insert or update a key."""
-        key = self._canonical(key)
+        key = as_digest(key)
         return self._table_for_canonical(key).insert(key, bytes(value))
 
     def update(self, key: KeyLike, value: bytes) -> InsertResult:
@@ -182,12 +171,12 @@ class BufferHash:
 
     def lookup(self, key: KeyLike) -> LookupResult:
         """Return the most recent value for a key."""
-        key = self._canonical(key)
+        key = as_digest(key)
         return self._table_for_canonical(key).lookup(key)
 
     def delete(self, key: KeyLike) -> DeleteResult:
         """Delete a key lazily."""
-        key = self._canonical(key)
+        key = as_digest(key)
         return self._table_for_canonical(key).delete(key)
 
     def get(self, key: KeyLike) -> Optional[bytes]:

@@ -25,7 +25,7 @@ from repro.core.eviction import EvictionPolicy
 from repro.core.hashing import (
     UNBUFFERED_PAGE_SEED,
     KeyLike,
-    canonical_key,
+    as_digest,
     hash_key,
     key_data,
 )
@@ -183,22 +183,10 @@ class CLAM:
                     f"CLAM refusing operation: device {device.name!r} has crash-stopped"
                 )
 
-    def _canonical(self, key: KeyLike) -> KeyLike:
-        """Canonicalise ``key`` exactly once at the public API boundary.
-
-        Hash-once mode wraps the key in a (cached)
-        :class:`~repro.core.hashing.KeyDigest` that every layer below —
-        partitioning, cuckoo buffer, Bloom filters, incarnation pages —
-        reuses; the ``use_hash_once=False`` ablation reproduces the original
-        per-layer re-hashing by passing plain canonical bytes (the policy is
-        :func:`repro.core.hashing.canonical_key`, shared by every boundary).
-        """
-        return canonical_key(key, self.config.use_hash_once)
-
     def insert(self, key: KeyLike, value: bytes) -> InsertResult:
         """Insert or update a (key, value) pair."""
         self._check_available()
-        key = self._canonical(key)
+        key = as_digest(key)
         tracer = _trace.ACTIVE
         if tracer is None:
             if self.bufferhash is not None:
@@ -227,7 +215,7 @@ class CLAM:
     def lookup(self, key: KeyLike) -> LookupResult:
         """Look up the most recent value for a key."""
         self._check_available()
-        key = self._canonical(key)
+        key = as_digest(key)
         tracer = _trace.ACTIVE
         if tracer is None:
             if self.bufferhash is not None:
@@ -253,7 +241,7 @@ class CLAM:
     def delete(self, key: KeyLike) -> DeleteResult:
         """Delete a key."""
         self._check_available()
-        key = self._canonical(key)
+        key = as_digest(key)
         if self.bufferhash is not None:
             result = self.bufferhash.delete(key)
         else:
@@ -287,7 +275,7 @@ class CLAM:
 
     # -- Unbuffered (ablation) mode -------------------------------------------------------
     #
-    # Keys arrive already canonicalised by ``_canonical`` (the public API
+    # Keys arrive already canonicalised by :func:`as_digest` (the public API
     # boundary), so these handlers never re-run ``to_key_bytes``; ``key_data``
     # just unwraps the canonical bytes from a digest.
 

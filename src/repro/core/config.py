@@ -75,14 +75,6 @@ class CLAMConfig:
         DRAM bits spent per entry in each incarnation's Bloom filter.
     use_buffering / use_bloom_filters / use_bit_slicing:
         Ablation switches for §7.3.1.
-    use_hash_once:
-        When True (default) keys are canonicalised into a memoising
-        :class:`~repro.core.hashing.KeyDigest` once at the public API
-        boundary, so each layer's seeded hash of the key bytes is computed
-        at most once per operation.  Disabling it reproduces the original
-        per-layer re-hashing; derived values are bit-identical either way
-        (this is a measurement ablation for ``benchmarks/bench_hotpath.py``,
-        not a behaviour switch).
     telemetry_enabled:
         When True the CLAM owns a :class:`~repro.telemetry.MetricsRegistry`
         recording per-operation latency histograms and operation counters
@@ -111,7 +103,6 @@ class CLAMConfig:
     use_buffering: bool = True
     use_bloom_filters: bool = True
     use_bit_slicing: bool = True
-    use_hash_once: bool = True
     telemetry_enabled: bool = False
     eviction_policy_name: str = "fifo"
     checkpoint_interval_flushes: Optional[int] = None

@@ -54,6 +54,9 @@ from repro.flashsim.persistent import FlashPartition, PageState, PersistentFlash
 
 #: Magic prefix of the superblock page.
 SUPERBLOCK_MAGIC = b"CLAMSUP1"
+#: Superblock keys of retired options.  None of them ever changed the
+#: on-flash layout, so they are dropped on read and older files still open.
+RETIRED_SUPERBLOCK_FIELDS = ("use_hash_once",)
 #: Magic prefix of an incarnation-log record header page.
 RECORD_MAGIC = b"CLAMINCR"
 #: Magic prefix of a checkpoint header page.
@@ -101,8 +104,28 @@ def read_superblock(device: PersistentFlashDevice) -> Tuple[CLAMConfig, float]:
             "was it created by DurableCLAM?"
         )
     fields = json.loads(payload[len(SUPERBLOCK_MAGIC) :].decode("utf-8"))
-    memory_cost = MemoryCostModel(**fields.pop("memory_cost"))
-    return CLAMConfig(memory_cost=memory_cost, **fields), latency
+    _check_superblock_fields(CLAMConfig, fields, RETIRED_SUPERBLOCK_FIELDS)
+    memory_cost = fields.pop("memory_cost")
+    _check_superblock_fields(MemoryCostModel, memory_cost)
+    return CLAMConfig(memory_cost=MemoryCostModel(**memory_cost), **fields), latency
+
+
+def _check_superblock_fields(cls, fields, retired: Tuple[str, ...] = ()) -> None:
+    """Drop ``retired`` keys from ``fields``; any other mismatch with
+    ``cls``'s fields is a :class:`ConfigurationError`, not a bare
+    ``TypeError``/``KeyError`` from the constructor."""
+    if not isinstance(fields, dict):
+        raise ConfigurationError(f"superblock {cls.__name__} is not a JSON object")
+    for name in retired:
+        fields.pop(name, None)
+    expected = {f.name for f in dataclasses.fields(cls)}
+    unknown = sorted(set(fields) - expected)
+    missing = sorted(expected - set(fields))
+    if unknown or missing:
+        raise ConfigurationError(
+            f"superblock {cls.__name__} does not match this version "
+            f"(unknown fields {unknown}, missing fields {missing})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +225,7 @@ class DurableLogStore(IncarnationStore):
         header_page = self._advance_head(span)
         incarnation_id = self._owner_next_id.get(owner_id, 0)
         sequence = self._next_seq
-        header = RECORD_HEADER.pack(
-            RECORD_MAGIC, owner_id, incarnation_id, sequence, len(pages)
-        )
+        header = RECORD_HEADER.pack(RECORD_MAGIC, owner_id, incarnation_id, sequence, len(pages))
         latency = self.device.write_range(header_page, [header] + list(pages))
         # State advances only after the write survived (a power cut raises
         # out of write_range; the reopened store rebuilds state from media).
@@ -243,9 +264,7 @@ class DurableLogStore(IncarnationStore):
                 continue
             if not self._region_is_free(block_start, pages_per_block):
                 continue
-            if not any(
-                page in self._released_pages for page in range(block_start, block_end)
-            ):
+            if not any(page in self._released_pages for page in range(block_start, block_end)):
                 continue
             self.device.erase_block(block)
             self._released_pages.difference_update(range(block_start, block_end))

@@ -423,20 +423,6 @@ def digest_cache_info() -> Dict[str, int]:
     return {"size": len(_DIGEST_CACHE), "capacity": _digest_cache_capacity}
 
 
-def canonical_key(key: KeyLike, hash_once: bool) -> KeyLike:
-    """The one canonicalisation policy used at every public API boundary.
-
-    Hash-once mode wraps the key in a (cached) :class:`KeyDigest` that every
-    layer below reuses; the ablation mode passes canonical bytes through so
-    each layer re-hashes exactly as the pre-digest implementation did.  Both
-    are idempotent, so nested boundaries (service router -> CLAM ->
-    BufferHash) canonicalise in O(1) after the first.
-    """
-    if hash_once:
-        return as_digest(key)
-    return key_data(key)
-
-
 def key_data(key: KeyLike) -> bytes:
     """Canonical bytes of ``key`` without copying when already canonical."""
     if type(key) is KeyDigest:

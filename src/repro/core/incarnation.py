@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.errors import KeyTooLargeError
-from repro.core.hashing import PAGE_SEED, KeyLike, canonical_key, hash_key
+from repro.core.hashing import PAGE_SEED, KeyLike, as_digest, hash_key
 
 _PAGE_HEADER = struct.Struct("<HB")  # entry count, overflow flag
 _ENTRY_HEADER = struct.Struct("<HH")  # key length, value length
@@ -53,9 +53,7 @@ def _entry_size(key: bytes, value: bytes) -> int:
     return _ENTRY_HEADER.size + len(key) + len(value)
 
 
-def required_pages(
-    items: Dict[bytes, bytes], page_size: int, fill_factor: float = 0.7
-) -> int:
+def required_pages(items: Dict[bytes, bytes], page_size: int, fill_factor: float = 0.7) -> int:
     """Minimum page count that comfortably holds ``items``.
 
     Used by the super table to grow an incarnation beyond its nominal size
@@ -76,7 +74,6 @@ def build_pages(
     items: Dict[bytes, bytes],
     num_pages: int,
     page_size: int,
-    hash_once: bool = False,
 ) -> List[bytes]:
     """Serialise ``items`` into ``num_pages`` page images of at most ``page_size`` bytes.
 
@@ -85,12 +82,9 @@ def build_pages(
     page that pushed entries onward has its overflow flag set so lookups know
     to continue.
 
-    ``hash_once`` routes each key's page hash through the digest cache:
-    flushed keys are the workload's hot keys, so this reuses page digests
-    already computed by lookups and primes the cache for the lookups that
-    follow the flush.  It is off by default so the ``use_hash_once=False``
-    ablation (and stand-alone callers) stay free of digest machinery; page
-    assignment is bit-identical either way.
+    Each key's page hash goes through the digest cache: flushed keys are
+    the workload's hot keys, so this reuses page digests already computed by
+    lookups and primes the cache for the lookups that follow the flush.
     """
     if num_pages <= 0:
         raise ValueError("num_pages must be positive")
@@ -104,9 +98,7 @@ def build_pages(
             raise KeyTooLargeError(
                 f"entry of {entry_size} bytes cannot fit in a {page_size}-byte page"
             )
-        buckets[page_index_for_key(canonical_key(key, hash_once), num_pages)].append(
-            (key, value)
-        )
+        buckets[page_index_for_key(as_digest(key), num_pages)].append((key, value))
 
     # Assign entries to physical pages with wrap-around overflow.
     page_entries: List[List[Tuple[bytes, bytes]]] = [[] for _ in range(num_pages)]

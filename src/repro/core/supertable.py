@@ -63,7 +63,6 @@ class SuperTable:
         eviction_policy: Optional[EvictionPolicy] = None,
         use_bloom_filters: bool = True,
         use_bit_slicing: bool = True,
-        use_hash_once: bool = True,
     ) -> None:
         if max_incarnations <= 0:
             raise ConfigurationError("max_incarnations must be positive")
@@ -79,7 +78,6 @@ class SuperTable:
         self.eviction_policy = eviction_policy if eviction_policy is not None else FIFOEviction()
         self.use_bloom_filters = use_bloom_filters
         self.use_bit_slicing = use_bit_slicing
-        self.use_hash_once = use_hash_once
 
         self.buffer = Buffer(
             capacity_items=buffer_capacity_items,
@@ -364,7 +362,7 @@ class SuperTable:
         # entry size; when actual entries are larger (long keys or values),
         # grow this incarnation rather than failing the flush.
         num_pages = max(self.pages_per_incarnation, required_pages(items, self.page_size))
-        pages = build_pages(items, num_pages, self.page_size, hash_once=self.use_hash_once)
+        pages = build_pages(items, num_pages, self.page_size)
         address, latency = self._write_incarnation_pages(pages)
         handle = IncarnationHandle(
             incarnation_id=self._next_incarnation_id,

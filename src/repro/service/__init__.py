@@ -40,8 +40,8 @@ benchmarks and examples — can operate a cluster unchanged.
 """
 
 from repro.service.batch import (
-    DEFAULT_DISPATCH_OVERHEAD_MS,
-    DEFAULT_ROUTING_COST_MS,
+    DISPATCH_OVERHEAD_MS,
+    ROUTING_COST_MS,
     BatchExecutor,
     BatchResult,
     ShardBatchStats,
@@ -74,8 +74,8 @@ __all__ = [
     "BatchExecutor",
     "BatchResult",
     "ShardBatchStats",
-    "DEFAULT_DISPATCH_OVERHEAD_MS",
-    "DEFAULT_ROUTING_COST_MS",
+    "DISPATCH_OVERHEAD_MS",
+    "ROUTING_COST_MS",
     "ClusterService",
     "ClusterStats",
     "ParallelBatchExecutor",

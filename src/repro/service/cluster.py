@@ -43,12 +43,12 @@ from repro.core.errors import (
     ShardUnavailableError,
 )
 from repro.core.eviction import EvictionPolicy
-from repro.core.hashing import KeyLike, canonical_key, key_data
+from repro.core.hashing import KeyLike, as_digest, key_data
 from repro.core.results import DeleteResult, InsertResult, LookupResult
 from repro.flashsim.clock import ClockEnsemble, SimulationClock
 from repro.service.batch import (
-    DEFAULT_DISPATCH_OVERHEAD_MS,
-    DEFAULT_ROUTING_COST_MS,
+    DISPATCH_OVERHEAD_MS,
+    ROUTING_COST_MS,
     BatchExecutor,
     BatchResult,
 )
@@ -199,8 +199,6 @@ class ClusterService:
         (created if missing; required for that storage, rejected otherwise).
     virtual_nodes:
         Consistent-hash virtual nodes per shard.
-    dispatch_overhead_ms / routing_cost_ms:
-        Service-layer simulated costs; see :mod:`repro.service.batch`.
     replication_factor:
         Copies of every key, placed on the key's preference list
         (:meth:`ShardRouter.preference_list`).  With 1 (the default) the
@@ -224,8 +222,6 @@ class ClusterService:
         shard_ids: Optional[Iterable[str]] = None,
         eviction_policy: Optional[EvictionPolicy] = None,
         keep_latency_samples: bool = True,
-        dispatch_overhead_ms: float = DEFAULT_DISPATCH_OVERHEAD_MS,
-        routing_cost_ms: float = DEFAULT_ROUTING_COST_MS,
         replication_factor: int = 1,
         failure_threshold: int = 1,
         track_keys: Optional[bool] = None,
@@ -309,27 +305,14 @@ class ClusterService:
         for name in names:
             self._build_shard(name)
         self.router = ShardRouter(names, virtual_nodes=virtual_nodes)
-        self.executor = self._build_executor(dispatch_overhead_ms, routing_cost_ms)
+        self.executor = self._build_executor()
         self.stats = ClusterStats(self.shards, service=self)
 
-    def _build_executor(
-        self, dispatch_overhead_ms: float, routing_cost_ms: float
-    ) -> BatchExecutor:
+    def _build_executor(self) -> BatchExecutor:
         """Construct the batch executor; the process-per-shard deployment
-        overrides this to install its scatter/gather executor with the same
-        hooks (same routing, failover and accounting — the results contract)."""
-        return BatchExecutor(
-            self.router,
-            self.shards,
-            dispatch_overhead_ms=dispatch_overhead_ms,
-            routing_cost_ms=routing_cost_ms,
-            hash_once=self.config.use_hash_once,
-            replication_factor=self.replication_factor,
-            is_live=self.is_live,
-            on_shard_error=self.record_shard_error,
-            on_missed_write=self._record_hint,
-            targets_for=self._op_replicas,
-        )
+        overrides this to install its scatter/gather executor (same routing,
+        failover and accounting — the results contract)."""
+        return BatchExecutor(self)
 
     def shard_path(self, shard_id: str) -> str:
         """Backing file of a persistent shard."""
@@ -563,22 +546,11 @@ class ClusterService:
 
     def shard_for(self, key: KeyLike) -> str:
         """Shard id that owns ``key`` (the primary replica)."""
-        return self.router.route(self._canonical(key))
+        return self.router.route(as_digest(key))
 
     def replicas_for(self, key: KeyLike) -> Tuple[str, ...]:
         """The key's full preference list (length ``replication_factor``)."""
-        return self.router.preference_list(self._canonical(key), self.replication_factor)
-
-    def _canonical(self, key: KeyLike) -> KeyLike:
-        """Hash the key once for routing *and* the shard-side operation.
-
-        The digest computed for the ring position travels into the owning
-        CLAM, whose boundary recognises it and reuses it; the
-        ``use_hash_once=False`` ablation passes canonical bytes through so
-        shards re-hash exactly as they originally did (shared policy:
-        :func:`repro.core.hashing.canonical_key`).
-        """
-        return canonical_key(key, self.config.use_hash_once)
+        return self.router.preference_list(as_digest(key), self.replication_factor)
 
     def _op_replicas(self, key: KeyLike, kind: OpKind) -> Tuple[str, ...]:
         """The shards one operation must consult, migration-aware.
@@ -613,15 +585,13 @@ class ClusterService:
     def _shard_op(self, shard_id: str, op_name: str, *args):
         """One dispatched operation against one shard; None if the shard fails.
 
-        Charges the stand-alone dispatch + routing overhead to the shard's
-        clock (batches amortise the dispatch share instead, see
+        Charges the single-operation dispatch + routing overhead to the
+        shard's clock (batches amortise the dispatch share instead, see
         :class:`BatchExecutor`) and folds any
         :class:`DeviceFailedError` into the error counters.
         """
         shard = self.shards[shard_id]
-        shard.clock.advance(
-            self.executor.dispatch_overhead_ms + self.executor.routing_cost_ms
-        )
+        shard.clock.advance(DISPATCH_OVERHEAD_MS + ROUTING_COST_MS)
         try:
             return getattr(shard, op_name)(*args)
         except DeviceFailedError:
@@ -648,7 +618,7 @@ class ClusterService:
         Replicas that are down (or fail mid-write) get a hinted-handoff entry
         so :meth:`heal_shard` can replay what they missed.
         """
-        key = self._canonical(key)
+        key = as_digest(key)
         replicas = self._op_replicas(key, _WRITE_KINDS[op_name])
         primary_result = None
         for shard_id in replicas:
@@ -689,7 +659,7 @@ class ClusterService:
         against its error threshold and skipped.  Only when every live
         replica misses is the miss returned.
         """
-        key = self._canonical(key)
+        key = as_digest(key)
         misses: List[str] = []
         first_miss: Optional[LookupResult] = None
         for shard_id in self._live_replicas(key):

@@ -13,9 +13,11 @@ The bit-identical results contract
 ----------------------------------
 The in-process :class:`~repro.service.cluster.ClusterService` stays the
 default deterministic test path.  The parallel deployment reuses its exact
-routing, replication, hint and retry machinery — only the innermost dispatch
-hop (:meth:`~repro.service.batch.BatchExecutor._dispatch_round`) is replaced
-— and each worker runs the same deterministic CLAM on the same kind of
+routing, replication, hint, retry and result-folding machinery — its
+executor is built from the cluster alone, like the in-process one, and only
+the innermost dispatch hop
+(:meth:`~repro.service.batch.BatchExecutor._dispatch_round`) is replaced —
+and each worker runs the same deterministic CLAM on the same kind of
 private :class:`~repro.flashsim.clock.SimulationClock`, advanced by exactly
 the amounts the in-process executor would have advanced it (the parent
 mirrors each worker clock and ships accrued advances inside batch frames).
@@ -82,7 +84,13 @@ from repro.core.hashing import (
 from repro.core.recovery import CrashRecoveryReport, DurableCLAM
 from repro.flashsim.clock import SimulationClock
 from repro.service import wire
-from repro.service.batch import BatchExecutor, BatchResult, ShardBatchStats, _count, _Slot
+from repro.service.batch import (
+    BatchExecutor,
+    BatchResult,
+    ShardBatchStats,
+    _Slot,
+    _sub_batch_stats,
+)
 from repro.service.chaos import ChaosSchedule, ChaosTransport, derive_seed
 from repro.service.cluster import ClusterService
 from repro.telemetry import trace as _trace
@@ -199,23 +207,20 @@ _PRIMED_SEEDS = (
 )
 
 
-def _handle_batch(clam: CLAM, hash_once: bool, payload: bytes) -> bytes:
+def _handle_batch(clam: CLAM, payload: bytes) -> bytes:
     """Execute one batch frame against the worker's CLAM.
 
-    In hash-once mode the sub-batch is hashed up front: one
-    :class:`KeyDigest` per distinct key, its :data:`_PRIMED_SEEDS` filled by
-    one packed pass (:func:`~repro.core.hashing.prime_digests`).  The
-    digests live for this frame only.
+    The sub-batch is hashed up front: one :class:`KeyDigest` per distinct
+    key, its :data:`_PRIMED_SEEDS` filled by one packed pass
+    (:func:`~repro.core.hashing.prime_digests`).  The digests live for this
+    frame only.
     """
     advance_ms, kinds, keys, values = wire.decode_batch_request(payload)
     if advance_ms:
         clam.clock.advance(advance_ms)
-    if hash_once:
-        digests = {key: KeyDigest(key) for key in dict.fromkeys(keys)}
-        prime_digests(digests.values(), _PRIMED_SEEDS)
-        op_keys = [digests[key] for key in keys]
-    else:
-        op_keys = keys
+    digests = {key: KeyDigest(key) for key in dict.fromkeys(keys)}
+    prime_digests(digests.values(), _PRIMED_SEEDS)
+    op_keys = [digests[key] for key in keys]
     started_ms = clam.clock.now_ms
     results: List[object] = []
     error_code = wire.ERR_NONE
@@ -336,7 +341,6 @@ def _worker_main(
             wire.FRAME_CONTROL_RESPONSE,
             wire.encode_control({"ok": True, "pid": os.getpid()}),
         )
-        hash_once = clam.config.use_hash_once
         while True:
             try:
                 frame_type, seq, payload = wire.recv_frame(conn)
@@ -361,7 +365,7 @@ def _worker_main(
                 break
             try:
                 if frame_type == wire.FRAME_BATCH_REQUEST:
-                    response = _handle_batch(clam, hash_once, payload)
+                    response = _handle_batch(clam, payload)
                     wire.send_frame(conn, wire.FRAME_BATCH_RESPONSE, response, seq=seq)
                 elif frame_type == wire.FRAME_CONTROL_REQUEST:
                     request = wire.decode_control(payload)
@@ -874,46 +878,24 @@ class ParallelBatchExecutor(BatchExecutor):
     shard's sub-batch frame is sent before any response is read, so the
     worker processes execute concurrently and a round's wall-clock cost is
     the *slowest* worker rather than the sum.  Routing, replica failover,
-    retry and accounting are inherited unchanged — the same slots, the same
-    hooks, the same stats — which is what keeps process-mode results
-    bit-identical to the in-process executor's.
+    retry and result folding are inherited unchanged — the same slots, the
+    same cluster calls, the same stats — which is what keeps process-mode
+    results bit-identical to the in-process executor's.  A worker death is
+    survivable because the cluster's live view moves its slots to another
+    replica.
 
-    Managed mode is required (a live view must drive failover): a worker
-    death has to be survivable, and only the managed re-route machinery can
-    move its slots to another replica.
-
-    With ``hedge_delay_ms`` set and ``replication_factor >= 2``, all-lookup
-    sub-batches are *hedged*: the gather half waits only the hedge window
-    for the primary's response, and on a miss abandons it (without marking
-    the shard failed — slow is not dead) and re-dispatches the lookups to
-    the next untried live replica through the normal re-route machinery.
-    The abandoned response is discarded by sequence number when it finally
-    arrives.  Only groups where every slot has such an alternative are
-    hedged, so a hedge can never manufacture a
+    With the cluster's ``hedge_delay_ms`` set and ``replication_factor >=
+    2``, all-lookup sub-batches are *hedged*: the gather half waits only the
+    hedge window for the primary's response, and on a miss abandons it
+    (without marking the shard failed — slow is not dead) and re-dispatches
+    the lookups to the next untried live replica through the normal
+    re-route machinery.  The abandoned response is discarded by sequence
+    number when it finally arrives.  Only groups where every slot has such
+    an alternative are hedged, so a hedge can never manufacture a
     :class:`~repro.core.errors.ShardUnavailableError`.
     """
 
-    def __init__(
-        self,
-        *args,
-        hedge_delay_ms: Optional[float] = None,
-        on_rpc_event: Optional[Callable[..., None]] = None,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        if not self.managed:
-            raise ConfigurationError(
-                "ParallelBatchExecutor requires managed mode (an is_live hook); "
-                "stand-alone batches belong on the in-process BatchExecutor"
-            )
-        if hedge_delay_ms is not None and hedge_delay_ms <= 0:
-            raise ConfigurationError("hedge_delay_ms must be positive (or None to disable)")
-        self.hedge_delay_ms = hedge_delay_ms
-        self._on_rpc_event = on_rpc_event
-
-    def _rpc_event(self, kind: str, **attributes) -> None:
-        if self._on_rpc_event is not None:
-            self._on_rpc_event(kind, **attributes)
+    cluster: "ParallelClusterService"
 
     def _hedgeable(self, slots: List[_Slot]) -> bool:
         """Whether one sub-batch qualifies for a hedged read.
@@ -923,47 +905,41 @@ class ParallelBatchExecutor(BatchExecutor):
         nothing and doubles device work), and every slot having at least one
         live, untried replica to fail over to.
         """
-        if self.hedge_delay_ms is None or self.replication_factor < 2:
+        cluster = self.cluster
+        if cluster.hedge_delay_ms is None or cluster.replication_factor < 2:
             return False
         for slot in slots:
             if slot.operation.kind is not OpKind.LOOKUP:
                 return False
-            if self._targets_for is not None:
-                replicas = self._targets_for(slot.key, slot.operation.kind)
-            else:
-                replicas = self.router.preference_list(slot.key, self.replication_factor)
+            replicas = cluster._op_replicas(slot.key, slot.operation.kind)
             if not any(
-                replica not in slot.attempted
-                and replica in self.shards
-                and self._is_live(replica)
+                replica not in slot.attempted and cluster.is_live(replica)
                 for replica in replicas
             ):
                 return False
         return True
 
-    def _dispatch_round(
-        self, groups: Dict[str, List[_Slot]], batch: BatchResult
-    ) -> List[_Slot]:
+    def _dispatch_round(self, groups: Dict[str, List[_Slot]], batch: BatchResult) -> List[_Slot]:
         failed_slots: List[_Slot] = []
         in_flight: List[Tuple[str, RemoteShard, List[_Slot], ShardBatchStats, float]] = []
+        fold = self._fold_sub_batch
 
         # Scatter: one frame per shard, no waiting in between.
+        shards = self.cluster.shards
         for shard_id, slots in groups.items():
-            shard = self.shards.get(shard_id)
             for slot in slots:
                 slot.attempted.add(shard_id)
+            shard = shards.get(shard_id)
             if shard is None:
-                # Removed between routing and execution; managed mode re-routes.
-                self._fail_group(shard_id, slots, batch, failed_slots, missed_writes=False)
+                # Removed between routing and execution; the live view re-routes.
+                fold(shard_id, slots, [], True, None, batch, failed_slots)
                 continue
-            stats = ShardBatchStats(shard_id=shard_id)
-            stats.dispatch_ms = self.dispatch_overhead_ms
-            stats.routing_ms = self.routing_cost_ms * len(slots)
+            stats = _sub_batch_stats(shard_id, len(slots))
             operations = [(slot.operation.kind, slot.key, slot.operation.value) for slot in slots]
             try:
                 shard.send_batch(operations, extra_advance_ms=stats.dispatch_ms + stats.routing_ms)
             except DeviceFailedError:
-                self._fail_group(shard_id, slots, batch, failed_slots, missed_writes=True)
+                fold(shard_id, slots, [], True, None, batch, failed_slots)
                 continue
             in_flight.append((shard_id, shard, slots, stats, shard.clock.now_ms))
 
@@ -975,74 +951,45 @@ class ParallelBatchExecutor(BatchExecutor):
                 if self._hedgeable(slots):
                     try:
                         results, error_code, message, busy_ms = shard.recv_batch(
-                            probe_timeout_ms=self.hedge_delay_ms, probe=True
+                            probe_timeout_ms=self.cluster.hedge_delay_ms, probe=True
                         )
                     except WorkerStalledError:
                         # Slow, not dead: abandon the primary without marking
                         # it failed and reroute the lookups to a replica.
-                        self._rpc_event("hedge_fired", shard=shard_id, operations=len(slots))
+                        self.cluster._record_rpc_event(
+                            "hedge_fired", shard=shard_id, operations=len(slots)
+                        )
                         failed_slots.extend(slots)
                         continue
                 else:
                     results, error_code, message, busy_ms = shard.recv_batch()
             except DeviceFailedError:
                 # Killed mid-batch: no response, so none of its slots ran.
-                self._fail_group(shard_id, slots, batch, failed_slots, missed_writes=True)
+                fold(shard_id, slots, [], True, None, batch, failed_slots)
                 continue
             if error_code == wire.ERR_UNEXPECTED:
                 raise WireProtocolError(f"shard {shard_id}: {message}")
             tracer = _trace.ACTIVE
-            span = None
             if tracer is not None:
                 span = tracer.begin(
                     "shard.batch", shard.clock, shard=shard_id, operations=len(slots)
                 )
                 span.start_ms = started_ms  # the frame was sent back then
-            stats.busy_ms = busy_ms
-            for slot, result in zip(slots, results):
-                if slot.primary:
-                    batch.results[slot.index] = result
-                elif batch.results[slot.index] is None:
-                    batch.results[slot.index] = result
-                stats.operations += 1
-                _count(stats, slot.operation.kind, result)
-            leftover = slots[len(results) :]
-            if error_code == wire.ERR_DEVICE_FAILED or leftover:
-                self._notify_failure(shard_id)
-                for pending in leftover:
-                    if (
-                        pending.operation.kind is not OpKind.LOOKUP
-                        and self._on_missed_write is not None
-                    ):
-                        self._on_missed_write(shard_id, pending.key)
-                if shard_id not in batch.failed_shards:
-                    batch.failed_shards.append(shard_id)
-                failed_slots.extend(leftover)
-            if span is not None:
-                if leftover:
+                if len(results) < len(slots):
                     span.attributes["failed"] = True
-                    span.attributes["operations_completed"] = stats.operations
+                    span.attributes["operations_completed"] = len(results)
                 tracer.end(span, shard.clock)
-            self._merge_shard_stats(batch, stats)
+            stats.busy_ms = busy_ms
+            fold(
+                shard_id,
+                slots,
+                results,
+                error_code == wire.ERR_DEVICE_FAILED,
+                stats,
+                batch,
+                failed_slots,
+            )
         return failed_slots
-
-    def _fail_group(
-        self,
-        shard_id: str,
-        slots: List[_Slot],
-        batch: BatchResult,
-        failed_slots: List[_Slot],
-        missed_writes: bool,
-    ) -> None:
-        """One shard's whole sub-batch failed before (or without) a response."""
-        self._notify_failure(shard_id)
-        if missed_writes and self._on_missed_write is not None:
-            for slot in slots:
-                if slot.operation.kind is not OpKind.LOOKUP:
-                    self._on_missed_write(shard_id, slot.key)
-        if shard_id not in batch.failed_shards:
-            batch.failed_shards.append(shard_id)
-        failed_slots.extend(slots)
 
 
 # -- The process-per-shard cluster --------------------------------------------------
@@ -1080,9 +1027,11 @@ class ParallelClusterService(ClusterService):
             raise ConfigurationError(
                 "this platform cannot fork; use the in-process ClusterService"
             )
+        if hedge_delay_ms is not None and hedge_delay_ms <= 0:
+            raise ConfigurationError("hedge_delay_ms must be positive (or None to disable)")
         self._ctx = multiprocessing.get_context("fork")
-        # RPC-resilience knobs, consumed by _build_shard/_build_executor —
-        # which run during super().__init__, so they must be set first.
+        # RPC-resilience knobs, read by _build_shard (which runs during
+        # super().__init__, so they must be set first) and by the executor.
         self.request_deadline_ms = float(request_deadline_ms)
         self.retry_limit = int(retry_limit)
         self.retry_backoff_ms = float(retry_backoff_ms)
@@ -1117,21 +1066,8 @@ class ParallelClusterService(ClusterService):
         self.clock.add(shard.clock)
         return shard
 
-    def _build_executor(self, dispatch_overhead_ms: float, routing_cost_ms: float):
-        return ParallelBatchExecutor(
-            self.router,
-            self.shards,
-            dispatch_overhead_ms=dispatch_overhead_ms,
-            routing_cost_ms=routing_cost_ms,
-            hash_once=self.config.use_hash_once,
-            replication_factor=self.replication_factor,
-            is_live=self.is_live,
-            on_shard_error=self.record_shard_error,
-            on_missed_write=self._record_hint,
-            targets_for=self._op_replicas,
-            hedge_delay_ms=self.hedge_delay_ms,
-            on_rpc_event=self._record_rpc_event,
-        )
+    def _build_executor(self) -> ParallelBatchExecutor:
+        return ParallelBatchExecutor(self)
 
     # -- RPC-resilience events ---------------------------------------------------------
 
@@ -1228,7 +1164,7 @@ class ParallelClusterService(ClusterService):
         newly-detected shard ids.  Callers run this periodically — or rely on
         the lazy path: any frame to a dead worker raises
         :class:`~repro.core.errors.WorkerDiedError`, which feeds the same
-        counters through the executor's failure hooks.
+        counters through the executor's failure handling.
         """
         died: List[str] = []
         for shard_id, shard in self.shards.items():

@@ -14,9 +14,10 @@ This module makes the real-byte path affordable instead of dodging it; three
 implementations produce **bit-identical boundaries** (same polynomial, same
 residue rule, frozen by ``tests/test_chunking_golden.py``):
 
-* :meth:`RabinChunker.reference_boundaries` — the original per-byte pure
-  Python loop, kept verbatim as the frozen reference for golden and
-  property tests and as the "before" side of ``benchmarks/bench_chunking.py``;
+* the original per-byte pure Python loop — kept verbatim outside the
+  package, in ``tests/rabin_oracle.py``, as the frozen reference for golden
+  and property tests and as the "before" side of
+  ``benchmarks/bench_chunking.py``;
 * the **table-driven scalar path** — a 256-entry outgoing-byte removal
   table, all attribute lookups hoisted into locals, flat ``(start, end)``
   tuples internally, and **min-size skip-ahead**: after each declared
@@ -159,7 +160,6 @@ class RabinChunker:
                 f"({_WINDOW_SIZE}); use vectorized=None for automatic fallback"
             )
         self._boundary_residue = average_size - 1
-        self._leading_factor = _LEADING_FACTOR
         self._vectorized = (
             vectorized
             if vectorized is not None
@@ -203,7 +203,7 @@ class RabinChunker:
     def _boundaries_scalar(self, data) -> List[Tuple[int, int]]:
         """Table-driven per-byte scan with min-size skip-ahead.
 
-        Bit-identical to :meth:`reference_boundaries`: same polynomial, same
+        Bit-identical to the per-byte reference loop: same polynomial, same
         residue rule, same forced cut at ``max_size``.  The window resets at
         every cut, so the hash at the first eligible check position
         (``start + min_size``) depends only on the ``WINDOW`` bytes before
@@ -354,43 +354,4 @@ class RabinChunker:
                 cut = forced
             append((start, cut))
             start = cut
-        return boundaries
-
-    # -- Frozen reference -------------------------------------------------------------
-
-    def reference_boundaries(self, data: bytes) -> List[ChunkBoundary]:
-        """The original per-byte implementation, kept verbatim as the frozen
-        reference: golden and property tests prove the optimized paths emit
-        bit-identical boundaries, and ``benchmarks/bench_chunking.py`` uses it
-        as the "before" measurement."""
-        length = len(data)
-        if length == 0:
-            return []
-        boundaries: List[ChunkBoundary] = []
-        start = 0
-        rolling = 0
-        window_fill = 0
-        position = 0
-        while position < length:
-            byte = data[position]
-            if window_fill < _WINDOW_SIZE:
-                rolling = (rolling * _BASE + byte) % _PRIME
-                window_fill += 1
-            else:
-                outgoing = data[position - _WINDOW_SIZE]
-                rolling = (
-                    (rolling - outgoing * self._leading_factor) * _BASE + byte
-                ) % _PRIME
-            position += 1
-            chunk_length = position - start
-            if chunk_length < self.min_size:
-                continue
-            at_boundary = (rolling % self.average_size) == self._boundary_residue
-            if at_boundary or chunk_length >= self.max_size:
-                boundaries.append(ChunkBoundary(start, position))
-                start = position
-                rolling = 0
-                window_fill = 0
-        if start < length:
-            boundaries.append(ChunkBoundary(start, length))
         return boundaries

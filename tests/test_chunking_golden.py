@@ -11,7 +11,8 @@ clamping.  These tests freeze that contract two ways:
   regime (``min < WINDOW``), non-power-of-two averages, a forced ``max_size``
   cut and a payload shorter than ``min_size``;
 * cross-checks of every execution path (auto, scalar, vectorised, and the
-  verbatim ``reference_boundaries``) against those digests and each other.
+  verbatim ``rabin_oracle.oracle_boundaries``) against those digests and
+  each other.
 
 If any of these digests ever changes, previously deduplicated content stops
 matching its stored fingerprints — treat a failure here as data corruption,
@@ -26,6 +27,7 @@ import random
 
 import pytest
 
+from rabin_oracle import oracle_boundaries
 from repro.wanopt.chunking import HAVE_NUMPY, RabinChunker
 
 # (case id) -> (payload seed, payload size, chunker kwargs, sha256 of the
@@ -141,7 +143,7 @@ def test_reference_implementation_matches_golden_digest(case):
     seed, size, kwargs, digest, _, _, _ = GOLDEN[case]
     data = random.Random(seed).randbytes(size)
     chunker = RabinChunker(**kwargs)
-    assert boundary_digest(chunker.reference_boundaries(data)) == digest
+    assert boundary_digest(oracle_boundaries(chunker, data)) == digest
 
 
 def test_all_paths_agree_on_memoryview_and_bytearray_input():
@@ -176,7 +178,7 @@ def test_vectorized_flag_validation_and_fallback():
     # min_size below the window silently selects the scalar path on auto.
     chunker = RabinChunker(average_size=256, min_size=16)
     data = random.Random(111).randbytes(8 * 1024)
-    assert chunker.boundaries(data) == chunker.reference_boundaries(data)
+    assert chunker.boundaries(data) == oracle_boundaries(chunker, data)
 
 
 def test_skip_per_chunk_matches_min_size_geometry():

@@ -32,6 +32,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rabin_oracle import oracle_boundaries
 from repro.wanopt.chunking import HAVE_NUMPY, RabinChunker
 
 CHUNKER_MODES = [False, True] if HAVE_NUMPY else [False]
@@ -54,10 +55,7 @@ def chunks_of(chunker: RabinChunker, data: bytes) -> list:
 
 def common_suffix_length(first: list, second: list) -> int:
     length = 0
-    while (
-        length < min(len(first), len(second))
-        and first[-1 - length] == second[-1 - length]
-    ):
+    while length < min(len(first), len(second)) and first[-1 - length] == second[-1 - length]:
         length += 1
     return length
 
@@ -165,9 +163,9 @@ def test_prefix_insertion_only_changes_chunks_near_the_edit(seed: int, average: 
 
 
 def assert_paths_match_reference(data: bytes, average: int, min_size: int, max_size: int) -> None:
-    reference = RabinChunker(
-        average_size=average, min_size=min_size, max_size=max_size
-    ).reference_boundaries(data)
+    reference = oracle_boundaries(
+        RabinChunker(average_size=average, min_size=min_size, max_size=max_size), data
+    )
     for vectorized in CHUNKER_MODES:
         if vectorized and min_size < RabinChunker.WINDOW_SIZE:
             # Explicit vectorized=True is rejected below the window; the
@@ -202,9 +200,7 @@ def test_optimized_paths_match_reference_on_arbitrary_bytes(data: bytes, average
     min_size=st.sampled_from([1, 16, 47, 48, 49, 300]),
 )
 @settings(max_examples=60, **COMMON)
-def test_optimized_paths_match_reference_across_min_sizes(
-    data: bytes, average: int, min_size: int
-):
+def test_optimized_paths_match_reference_across_min_sizes(data: bytes, average: int, min_size: int):
     max_size = max(min_size, average * 4)
     assert_paths_match_reference(data, average, min_size, max_size)
 

@@ -15,16 +15,19 @@ streaming incarnation writes (torn pages), inside block erases (interrupted
 erases), inside checkpoint writes and on reads.
 """
 
+import json
 import os
 
 import pytest
 
 from repro.core import CLAMConfig, DurableCLAM, PowerLossError
+from repro.core.durable import SUPERBLOCK_MAGIC
 from repro.core.errors import ConfigurationError, DeviceFailedError
 from repro.core.hashing import key_data
 from repro.core.incarnation import iter_page_entries
 from repro.flashsim.device import DeviceGeometry
 from repro.flashsim.faults import FaultMode
+from repro.flashsim.persistent import PersistentFlashDevice
 from repro.service.cluster import ClusterService
 from repro.service.recovery import RecoveryCoordinator
 
@@ -175,11 +178,7 @@ class TestDurableCLAM:
         clam = DurableCLAM(path, config=CFG, geometry=GEOM)
         for i in range(30):
             clam.insert(key(i), value(i))
-        buffered = {
-            key_data(k)
-            for table in clam.bufferhash.tables
-            for k in table.buffer.items()
-        }
+        buffered = {key_data(k) for table in clam.bufferhash.tables for k in table.buffer.items()}
         assert buffered  # some writes were still DRAM-only
         clam.persistent_device.faults.crash()  # hard stop: no flush, no checkpoint
         clam.close()
@@ -255,6 +254,53 @@ class TestDurableCLAM:
             DurableCLAM(path, config=COLD_CFG, geometry=GEOM)
         with DurableCLAM(path, geometry=GEOM) as clam:  # adopt stored config
             assert clam.config == CFG
+
+    @staticmethod
+    def _edit_superblock(path, edit) -> None:
+        """Rewrite a closed shard file's superblock JSON through ``edit``."""
+        device = PersistentFlashDevice(path)
+        try:
+            page = device.layout.partition("superblock").start_page(device.geometry)
+            payload, _latency = device.read_page(page)
+            fields = json.loads(payload[len(SUPERBLOCK_MAGIC) :].decode("utf-8"))
+            edit(fields)
+            encoded = json.dumps(fields, sort_keys=True, separators=(",", ":")).encode("utf-8")
+            device.write_page(page, SUPERBLOCK_MAGIC + encoded)
+        finally:
+            device.close()
+
+    @pytest.mark.parametrize("stored", [True, False])
+    def test_superblock_with_retired_hash_once_field_reopens(self, tmp_path, stored):
+        # Files written while CLAMConfig had a ``use_hash_once`` switch store
+        # it; the switch never changed the layout, so the key is dropped.
+        path = tmp_path / "old.clam"
+        with DurableCLAM(path, config=CFG, geometry=GEOM) as clam:
+            for i in range(16):  # inside the retention window of CFG
+                clam.insert(key(i), value(i))
+        self._edit_superblock(path, lambda fields: fields.update(use_hash_once=stored))
+        with DurableCLAM(path, geometry=GEOM) as clam:
+            assert clam.config == CFG
+            assert all(clam.get(key(i)) == value(i) for i in range(16))
+        with DurableCLAM(path, config=CFG, geometry=GEOM) as clam:
+            assert clam.get(key(7)) == value(7)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda fields: fields.update(no_such_option=1),
+            lambda fields: fields.pop("num_super_tables"),
+            lambda fields: fields.pop("memory_cost"),
+            lambda fields: fields["memory_cost"].update(no_such_cost=0.1),
+        ],
+        ids=["unknown-field", "missing-field", "missing-memory-cost", "unknown-cost"],
+    )
+    def test_superblock_field_mismatch_is_a_configuration_error(self, tmp_path, edit):
+        path = tmp_path / "odd.clam"
+        with DurableCLAM(path, config=CFG, geometry=GEOM):
+            pass
+        self._edit_superblock(path, edit)
+        with pytest.raises(ConfigurationError, match="superblock"):
+            DurableCLAM(path, geometry=GEOM)
 
     def test_unbuffered_config_rejected(self, tmp_path):
         config = CLAMConfig(use_buffering=False)

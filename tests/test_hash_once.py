@@ -2,13 +2,13 @@
 
 Three claims, each enforced here:
 
-1. **Equivalence** — with ``use_hash_once`` on or off, every operation
-   returns identical results and drives the simulated devices identically
-   (same flushes, incarnations, latencies).  The digest pipeline is a pure
-   performance change.
+1. **Equivalence** — a seeded mixed workload returns the same results and
+   drives the simulated devices the same way (flushes, incarnations,
+   latencies, clock, final contents) as the retired implementation that
+   re-hashed the key at every layer.  Both implementations were run and
+   agreed; their shared outcome is frozen here as a SHA-256 golden.
 2. **Hash-once** — one operation builds at most one digest and traverses the
-   key bytes at most once per layer; probing several incarnations reuses the
-   Bloom/page hashes that the legacy path recomputed per incarnation.
+   key bytes at most once per layer, however many incarnations it probes.
 3. **Service reuse** — a digest built for consistent-hash routing is the
    digest the owning CLAM uses, end to end through the batch executor; a
    shard worker, which receives key bytes only, hashes each distinct key of
@@ -16,6 +16,8 @@ Three claims, each enforced here:
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -31,12 +33,11 @@ from repro.service.parallel import _PRIMED_SEEDS, _handle_batch
 from repro.workloads.workload import Operation, OpKind
 
 
-def _config(hash_once: bool, **overrides) -> CLAMConfig:
+def _config(**overrides) -> CLAMConfig:
     return CLAMConfig.scaled(
         num_super_tables=4,
         buffer_capacity_items=32,
         incarnations_per_table=4,
-        use_hash_once=hash_once,
         **overrides,
     )
 
@@ -66,42 +67,44 @@ def _mixed_workload():
     return operations
 
 
+def _outcome_sha256(clam: CLAM, results) -> str:
+    """SHA-256 over each result's type, key, value and latency, the flush
+    and incarnation counts, the simulated clock and the final contents."""
+    digest = hashlib.sha256()
+    for result in results:
+        record = (
+            type(result).__name__,
+            result.key,
+            getattr(result, "value", None),
+            result.latency_ms,
+        )
+        digest.update(repr(record).encode())
+    bufferhash = clam.bufferhash
+    totals = (bufferhash.total_flushes, bufferhash.total_incarnations, clam.clock.now_ms)
+    digest.update(repr(totals).encode())
+    digest.update(repr(sorted(bufferhash.snapshot_items().items())).encode())
+    return digest.hexdigest()
+
+
+#: :func:`_outcome_sha256` of :func:`_mixed_workload` per ``use_bit_slicing``,
+#: produced identically by the digest pipeline and by the implementation that
+#: re-hashed the key bytes at every layer, before the latter was retired.
+MIXED_WORKLOAD_GOLDEN = {
+    True: "8be1a6600240fbcbf3b3e0252eb710f427067c589443df055b224d2e7522bb96",
+    False: "10c9bbc064ef087b2104798cc41f8b0a13a7b574aabc7edfad95272519b6914e",
+}
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("bit_slicing", [True, False])
-    def test_hash_once_and_legacy_paths_behave_identically(self, bit_slicing):
+    def test_mixed_workload_matches_the_per_layer_hashing_golden(self, bit_slicing):
         clear_digest_cache()
-        fast = CLAM(_config(True, use_bit_slicing=bit_slicing), storage="intel-ssd")
-        slow = CLAM(_config(False, use_bit_slicing=bit_slicing), storage="intel-ssd")
-        workload = _mixed_workload()
-        for fast_result, slow_result in zip(_drive(fast, workload), _drive(slow, workload)):
-            assert type(fast_result) is type(slow_result)
-            assert fast_result.key == slow_result.key
-            assert getattr(fast_result, "value", None) == getattr(slow_result, "value", None)
-            assert fast_result.latency_ms == slow_result.latency_ms
-        assert fast.bufferhash.total_flushes == slow.bufferhash.total_flushes
-        assert fast.bufferhash.total_incarnations == slow.bufferhash.total_incarnations
-        assert fast.clock.now_ms == slow.clock.now_ms
-        assert fast.bufferhash.snapshot_items() == slow.bufferhash.snapshot_items()
-
-    def test_legacy_mode_builds_no_digests(self):
-        """The ablation must be pure: with ``use_hash_once=False`` nothing in
-        the stack (including flush-time page placement) touches the digest
-        machinery or the global digest cache."""
-        from repro.core.hashing import digest_cache_info
-
-        clear_digest_cache()
-        clam = CLAM(_config(False), storage="intel-ssd")
-        with count_hash_calls() as log:
-            for i in range(300):  # enough to force flushes
-                clam.insert(b"pure-%04d" % i, b"v")
-            for i in range(300):
-                clam.lookup(b"pure-%04d" % i)
-        assert clam.bufferhash.total_flushes > 0
-        assert log.digest_builds == 0
-        assert digest_cache_info()["size"] == 0
+        clam = CLAM(_config(use_bit_slicing=bit_slicing), storage="intel-ssd")
+        results = _drive(clam, _mixed_workload())
+        assert _outcome_sha256(clam, results) == MIXED_WORKLOAD_GOLDEN[bit_slicing]
 
     def test_mixed_key_types_roundtrip_through_digests(self):
-        clam = CLAM(_config(True), storage="intel-ssd")
+        clam = CLAM(_config(), storage="intel-ssd")
         clam.insert("string-key", b"sv")
         clam.insert(12345, b"iv")
         clam.insert(memoryview(b"mv-key"), b"mv")
@@ -113,9 +116,9 @@ class TestEquivalence:
 class TestHashOnceCounting:
     """The headline claim: per-operation key-hash invocations drop to one."""
 
-    def _flash_resident_clam(self, hash_once: bool, bit_slicing: bool) -> CLAM:
+    def _flash_resident_clam(self, bit_slicing: bool) -> CLAM:
         clam = CLAM(
-            _config(hash_once, use_bit_slicing=bit_slicing),
+            _config(use_bit_slicing=bit_slicing),
             storage="intel-ssd",
             keep_latency_samples=False,
         )
@@ -134,7 +137,7 @@ class TestHashOnceCounting:
         raise AssertionError("no flash-resident key found")
 
     def test_lookup_hashes_each_layer_at_most_once(self):
-        clam = self._flash_resident_clam(hash_once=True, bit_slicing=True)
+        clam = self._flash_resident_clam(bit_slicing=True)
         probe = self._flash_served_key(clam)
         clear_digest_cache()
         with count_hash_calls() as log:
@@ -145,7 +148,7 @@ class TestHashOnceCounting:
             assert count == 1, f"layer {SEED_LAYERS.get(seed, hex(seed))} hashed {count}x"
 
     def test_cached_key_is_never_rehashed(self):
-        clam = self._flash_resident_clam(hash_once=True, bit_slicing=True)
+        clam = self._flash_resident_clam(bit_slicing=True)
         probe = b"cnt-0042"
         clam.lookup(probe)  # populate the digest cache
         with count_hash_calls() as log:
@@ -154,34 +157,28 @@ class TestHashOnceCounting:
         assert log.total == 0
         assert log.digest_builds == 0
 
-    def test_legacy_path_rehashes_bloom_per_incarnation(self):
-        """Without bit slicing, the legacy path pays two Bloom passes per
-        incarnation probed, the digest path exactly one per base hash."""
-        legacy = self._flash_resident_clam(hash_once=False, bit_slicing=False)
-        digest = self._flash_resident_clam(hash_once=True, bit_slicing=False)
+    def test_unsliced_lookup_hashes_bloom_once_across_incarnations(self):
+        """Without bit slicing every incarnation has its own Bloom filter;
+        probing several of them still costs one pass per base hash."""
+        clam = self._flash_resident_clam(bit_slicing=False)
         probe = b"cnt-0042"
-        table = legacy.bufferhash.table_for(probe)
+        table = clam.bufferhash.table_for(probe)
         assert table.incarnation_count > 1  # the probe sees several filters
 
-        with count_hash_calls() as legacy_log:
-            legacy.lookup(probe)
         clear_digest_cache()
-        with count_hash_calls() as digest_log:
-            digest.lookup(probe)
+        with count_hash_calls() as log:
+            clam.lookup(probe)
 
-        legacy_layers = legacy_log.by_layer()
-        digest_layers = digest_log.by_layer()
-        assert legacy_layers["bloom_h1"] > 1  # one pass per incarnation's filter
-        assert digest_layers["bloom_h1"] == 1
-        assert digest_layers["bloom_h2"] == 1
-        assert max(digest_layers.values()) == 1
-        assert digest_log.total < legacy_log.total
+        layers = log.by_layer()
+        assert layers["bloom_h1"] == 1
+        assert layers["bloom_h2"] == 1
+        assert max(layers.values()) == 1
 
 
 class TestServiceReuse:
     def test_routing_digest_reaches_the_shard(self):
         """The batch executor routes and executes with one digest per key."""
-        cluster = ClusterService(num_shards=3, config=_config(True), storage="dram")
+        cluster = ClusterService(num_shards=3, config=_config(), storage="dram")
         keys = [b"svc-%03d" % i for i in range(60)]
         cluster.execute_batch([Operation(OpKind.INSERT, key, b"v") for key in keys])
         clear_digest_cache()
@@ -194,8 +191,8 @@ class TestServiceReuse:
             assert count <= len(keys), f"{layer} hashed {count}x for {len(keys)} keys"
 
     def test_single_op_dispatch_matches_batch_results(self):
-        sequential = ClusterService(num_shards=2, config=_config(True), storage="dram")
-        batched = ClusterService(num_shards=2, config=_config(True), storage="dram")
+        sequential = ClusterService(num_shards=2, config=_config(), storage="dram")
+        batched = ClusterService(num_shards=2, config=_config(), storage="dram")
         keys = [b"one-%03d" % i for i in range(40)]
         for key in keys:
             sequential.insert(key, b"v")
@@ -225,8 +222,8 @@ class TestWorkerPriming:
         return operations
 
     @staticmethod
-    def _loaded_clam(hash_once: bool) -> CLAM:
-        clam = CLAM(_config(hash_once), storage="intel-ssd", keep_latency_samples=False)
+    def _loaded_clam() -> CLAM:
+        clam = CLAM(_config(), storage="intel-ssd", keep_latency_samples=False)
         for i in range(800):
             clam.insert(b"cnt-%04d" % i, b"v")
         return clam
@@ -234,25 +231,24 @@ class TestWorkerPriming:
     def test_each_seed_hashed_at_most_once_per_distinct_key(self):
         operations = self._sub_batch()
         distinct = len({key for _, key, _ in operations})
-        clam = self._loaded_clam(hash_once=True)
+        clam = self._loaded_clam()
         payload = wire.encode_batch_request(0.0, operations)
         clear_digest_cache()
         with count_hash_calls() as log:
-            _handle_batch(clam, True, payload)
+            _handle_batch(clam, payload)
         for seed in _PRIMED_SEEDS:
             assert log.by_seed[seed] == distinct, SEED_LAYERS[seed]
         assert 0 < log.by_seed.get(PAGE_SEED, 0) <= distinct  # lazy, but hashed once
 
-    @pytest.mark.parametrize("hash_once", [True, False])
-    def test_results_match_one_operation_at_a_time(self, hash_once):
+    def test_results_match_one_operation_at_a_time(self):
         operations = self._sub_batch()
-        reference = self._loaded_clam(hash_once)
+        reference = self._loaded_clam()
         expected = [
             reference.lookup(key) if kind is OpKind.LOOKUP else reference.insert(key, value)
             for kind, key, value in operations
         ]
-        clam = self._loaded_clam(hash_once)
-        response = _handle_batch(clam, hash_once, wire.encode_batch_request(0.0, operations))
+        clam = self._loaded_clam()
+        response = _handle_batch(clam, wire.encode_batch_request(0.0, operations))
         results, code, _, clock_ms, _ = wire.decode_batch_response(
             response, [key for _, key, _ in operations]
         )

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.core import CLAMConfig
-from repro.core.errors import ConfigurationError
 from repro.core.results import DeleteResult, InsertResult, LookupResult
-from repro.service import BatchExecutor, ClusterService, ShardRouter
+from repro.service import DISPATCH_OVERHEAD_MS, ROUTING_COST_MS, ClusterService
 from repro.workloads import (
     Operation,
     OpKind,
@@ -108,9 +107,7 @@ class TestBatchAccounting:
         assert sum(s.lookups for s in batch.per_shard.values()) == sum(
             1 for op in operations if op.kind is OpKind.LOOKUP
         )
-        assert batch.busy_ms == pytest.approx(
-            sum(s.busy_ms for s in batch.per_shard.values())
-        )
+        assert batch.busy_ms == pytest.approx(sum(s.busy_ms for s in batch.per_shard.values()))
         assert batch.dispatch_ms == pytest.approx(
             sum(s.dispatch_ms for s in batch.per_shard.values())
         )
@@ -125,26 +122,18 @@ class TestBatchAccounting:
         slowest = max(s.total_ms for s in batch.per_shard.values())
         assert batch.makespan_ms == pytest.approx(slowest)
         # Routing is charged per-operation on the owning shard.
-        assert batch.routing_ms == pytest.approx(
-            cluster.executor.routing_cost_ms * len(operations)
-        )
+        assert batch.routing_ms == pytest.approx(ROUTING_COST_MS * len(operations))
         # Parallel shards: completing when the slowest finishes beats summing.
         assert batch.makespan_ms < batch.busy_ms + batch.dispatch_ms + batch.routing_ms
 
     def test_dispatch_amortisation(self):
         cluster = small_cluster()
-        operations = [
-            Operation(OpKind.INSERT, fingerprint_for(i), b"v") for i in range(64)
-        ]
+        operations = [Operation(OpKind.INSERT, fingerprint_for(i), b"v") for i in range(64)]
         batch = cluster.execute_batch(operations)
         # Dispatch paid once per shard touched, not once per operation.
         assert batch.shards_touched <= cluster.num_shards
-        assert batch.dispatch_ms == pytest.approx(
-            batch.shards_touched * cluster.executor.dispatch_overhead_ms
-        )
-        assert batch.dispatch_ms_unbatched == pytest.approx(
-            len(operations) * cluster.executor.dispatch_overhead_ms
-        )
+        assert batch.dispatch_ms == pytest.approx(batch.shards_touched * DISPATCH_OVERHEAD_MS)
+        assert batch.dispatch_ms_unbatched == pytest.approx(len(operations) * DISPATCH_OVERHEAD_MS)
         assert batch.dispatch_saved_ms > 0
 
     def test_shard_clocks_advance_by_sub_batch_time(self):
@@ -157,16 +146,3 @@ class TestBatchAccounting:
             elapsed = cluster.shards[shard_id].clock.now_ms - before[shard_id]
             assert elapsed == pytest.approx(stats.total_ms)
 
-    def test_unknown_shard_instance_rejected(self):
-        router = ShardRouter(["a", "b"])
-        executor = BatchExecutor(router, {"a": small_cluster().shards["shard-0"]})
-        operations = [
-            Operation(OpKind.INSERT, fingerprint_for(i), b"v") for i in range(50)
-        ]
-        with pytest.raises(ConfigurationError):
-            executor.execute(operations)
-
-    def test_negative_overheads_rejected(self):
-        router = ShardRouter(["a"])
-        with pytest.raises(ConfigurationError):
-            BatchExecutor(router, {}, dispatch_overhead_ms=-1.0)

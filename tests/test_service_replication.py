@@ -3,16 +3,15 @@ typed unavailability errors and shard health tracking."""
 
 import pytest
 
+from repro.core import CLAMConfig
 from repro.core.errors import ConfigurationError, ShardUnavailableError
-from repro.service import ClusterService, ShardRouter
+from repro.service import ClusterService
 from repro.workloads import fingerprint_for
 from repro.workloads.workload import Operation, OpKind
 
 
 def make_cluster(num_shards=4, replication_factor=2, **kwargs):
-    return ClusterService(
-        num_shards=num_shards, replication_factor=replication_factor, **kwargs
-    )
+    return ClusterService(num_shards=num_shards, replication_factor=replication_factor, **kwargs)
 
 
 def sample_keys(count, namespace=b"replication-test"):
@@ -76,14 +75,27 @@ class TestReplicatedWrites:
     def test_batch_writes_also_replicate_and_track(self):
         cluster = make_cluster()
         keys = sample_keys(100, namespace=b"batched")
-        batch = cluster.execute_batch(
-            [Operation(OpKind.INSERT, key, b"v") for key in keys]
-        )
+        batch = cluster.execute_batch([Operation(OpKind.INSERT, key, b"v") for key in keys])
         assert all(result is not None for result in batch.results)
         assert len(cluster.tracked_keys) == 100
         for key in keys:
             for shard_id in cluster.replicas_for(key):
                 assert cluster.shards[shard_id].lookup(key).found
+
+    def test_batch_write_records_come_from_the_primary(self):
+        # Small buffers flush at different points on different shards, so a
+        # secondary's record (flush flag, latency) differs from the
+        # primary's; the batch must report the primary's, as insert() does.
+        config = CLAMConfig.scaled(
+            num_super_tables=2, buffer_capacity_items=16, incarnations_per_table=4
+        )
+        sequential = make_cluster(config=config)
+        batched = make_cluster(config=config)
+        keys = sample_keys(300, namespace=b"primary-record")
+        expected = [sequential.insert(key, b"v") for key in keys]
+        batch = batched.execute_batch([Operation(OpKind.INSERT, key, b"v") for key in keys])
+        assert any(result.flushed for result in expected)
+        assert batch.results == expected
 
     def test_rf1_matches_single_copy_semantics(self):
         cluster = ClusterService(num_shards=4, replication_factor=1)
@@ -216,9 +228,7 @@ class TestTypedUnavailability:
         targeted = [key for key in keys if cluster.shard_for(key) == owner]
         del cluster.shards[owner]
         with pytest.raises(ShardUnavailableError):
-            cluster.execute_batch(
-                [Operation(OpKind.INSERT, key, b"v") for key in targeted]
-            )
+            cluster.execute_batch([Operation(OpKind.INSERT, key, b"v") for key in targeted])
 
     def test_batch_reroutes_when_a_replica_survives(self):
         cluster = make_cluster(num_shards=4, replication_factor=2)
@@ -228,19 +238,6 @@ class TestTypedUnavailability:
         del cluster.shards[victim]  # vanished mid-flight, but RF=2 covers it
         batch = cluster.execute_batch([Operation(OpKind.LOOKUP, key) for key in keys])
         assert all(result is not None and result.found for result in batch.results)
-
-    def test_standalone_executor_keeps_configuration_error(self):
-        # Without a cluster's live view the old contract stands: a router /
-        # instance desync is a configuration bug.
-        from repro.service import BatchExecutor
-
-        router = ShardRouter(["a", "b"])
-        donor = ClusterService(num_shards=1)
-        executor = BatchExecutor(router, {"a": donor.shards["shard-0"]})
-        with pytest.raises(ConfigurationError):
-            executor.execute(
-                [Operation(OpKind.INSERT, key, b"v") for key in sample_keys(50)]
-            )
 
 
 class TestHealthReporting:
@@ -335,6 +332,22 @@ class TestHintedHandoff:
         cluster.execute_batch([Operation(OpKind.INSERT, key, b"v1")])
         cluster.heal_shard(secondary)
         assert cluster.shards[secondary].lookup(key).value == b"v1"
+
+    def test_batch_write_failing_mid_sub_batch_hints_unfinished_copies(self):
+        cluster = make_cluster()
+        _key, _primary, secondary = self.replica_pair(cluster, namespace=b"mid-batch")
+        keys = [
+            key
+            for key in sample_keys(200, namespace=b"mid-batch-keys")
+            if secondary in cluster.replicas_for(key)
+        ]
+        cluster.fail_shard(secondary)  # crashed, not yet detected: still routed to
+        batch = cluster.execute_batch([Operation(OpKind.INSERT, key, b"v") for key in keys])
+        assert batch.failed_shards == [secondary]
+        assert secondary in cluster.down_shard_ids
+        cluster.heal_shard(secondary)
+        assert cluster.hinted_handoffs == len(keys)
+        assert all(cluster.shards[secondary].lookup(key).value == b"v" for key in keys)
 
     def test_applied_writes_are_tracked_even_when_the_batch_fails(self):
         from repro.core.hashing import key_data
